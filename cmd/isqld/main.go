@@ -33,33 +33,37 @@
 //
 // With -wal, the catalog is durable: every committed transaction is
 // appended (statement texts plus a page delta, CRC-framed, fsynced) to
-// dir/wal.log before it becomes visible, and dir/checkpoint.wsd holds
-// the last checkpoint as an incremental page file — each checkpoint
-// rewrites only the pages of components touched since the previous one,
-// through a fixed-size buffer pool (-pool-pages frames per shard), and
-// a checkpoint with nothing new writes zero bytes. A pre-existing v1
-// JSON checkpoint is still recovered; the first checkpoint after the
-// upgrade migrates it to the page format in place. On startup the
-// server recovers the checkpoint plus the replayed log tail — records
-// carrying page deltas apply directly to the base without re-executing
-// statements — so a crash loses nothing committed. -checkpoint-every
-// bounds replay work by checkpointing after that many logged commits
-// (0 = checkpoint only on graceful shutdown). When the directory
-// already holds state, it wins over -demo/-load; a fresh directory is
-// seeded from them and checkpointed immediately so the seed itself is
-// durable.
+// the log segment dir/wal-<i>.log of each shard it touches before it
+// becomes visible, and dir/checkpoint.wsd (plus a checkpoint.wsd.s<i>
+// side file per shard i > 0) holds the last checkpoint as incremental
+// page files — each checkpoint rewrites only the pages of components
+// touched since the previous one, through a fixed-size buffer pool
+// (-pool-pages frames per shard), and a checkpoint with nothing new
+// writes zero bytes. A directory in the older layout is still
+// recovered: a single dir/wal.log is adopted as segment 0, and a v1 JSON
+// checkpoint is read and rewritten in the page format by the next
+// checkpoint. On startup the server recovers the checkpoint plus the
+// replayed log tail — records carrying page deltas apply directly to
+// the base without re-executing statements — so a crash loses nothing
+// committed. -checkpoint-every bounds replay work by checkpointing after
+// that many logged commits (0 = checkpoint only on graceful shutdown).
+// When the directory already holds state, it wins over -demo/-load; a
+// fresh directory is seeded from them and checkpointed immediately so
+// the seed itself is durable.
 //
 // # Sharding
 //
-// With -shards n (n > 1), the catalog is component-sharded: relations
-// hash to one of n shards, commits touching disjoint shards execute
-// and fsync fully in parallel, and with -wal each shard logs to its own
-// dir/wal-<i>.log segment (cross-shard commits use a two-phase
-// stage+marker protocol; recovery merges the segments by epoch). The
-// shard count is a runtime property: restarting with a different
-// -shards is allowed after a clean shutdown (the checkpoint carries no
-// shard layout), but segments written at one count must be recovered at
-// the same count before changing it.
+// With -shards n, the catalog is split into n component shards:
+// relations hash to one of n shards, commits touching disjoint shards
+// execute and fsync fully in parallel, each shard logs to its own
+// segment (cross-shard commits use a two-phase stage+marker protocol;
+// recovery merges the segments by epoch), and the default of one shard
+// runs the same code with every commit on shard 0. The shard count is a
+// runtime property: after a clean shutdown the directory reopens at any
+// -shards, byte-identically (the checkpoint carries no shard layout).
+// Log segments holding commits newer than the checkpoint — a crash —
+// must be recovered at the shard count that wrote them first; a restart
+// at a lower count refuses to start rather than drop them.
 package main
 
 import (
@@ -72,7 +76,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -88,16 +91,16 @@ func main() {
 	load := flag.String("load", "", "open a catalog persisted as a .wsd JSON file")
 	save := flag.String("save", "", "persist the catalog to a .wsd JSON file on graceful shutdown")
 	engine := flag.String("engine", "", "evaluation engine for fragment statements (default: wsdexec)")
-	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + wal.log)")
+	walDir := flag.String("wal", "", "directory for WAL-backed durability (checkpoint.wsd + wal-<i>.log)")
 	ckptEvery := flag.Int("checkpoint-every", 256, "with -wal: checkpoint after this many logged commits (0 = only on shutdown)")
 	txnRetries := flag.Int("txn-retries", 16, "automatic conflict retries per transaction (0 = surface conflicts immediately)")
-	shards := flag.Int("shards", 1, "component shards: commits on disjoint shards run in parallel, each with its own WAL segment (1 = unsharded)")
+	shards := flag.Int("shards", 1, "component shards: commits on disjoint shards run in parallel, each with its own WAL segment")
 	poolPages := flag.Int("pool-pages", store.DefaultPoolPages, "with -wal: buffer-pool capacity in pages per shard for the paged checkpoint base")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of statements slower than this as JSON lines on stderr (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on a second listener (keep it private)")
 	flag.Parse()
 
-	cat, wals, ckptPath, err := openCatalog(*demo, *load, *walDir, *shards, *poolPages)
+	cat, wals, err := openCatalog(*demo, *load, *walDir, *shards, *poolPages)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,12 +129,6 @@ func main() {
 		}
 		return n
 	}
-	checkpoint := func() error {
-		if cat.Shards() > 1 {
-			return cat.CheckpointAll(ckptPath)
-		}
-		return cat.Checkpoint(wals[0], ckptPath)
-	}
 
 	// Bound WAL replay work: checkpoint once enough commits accumulated
 	// across all segments.
@@ -146,7 +143,7 @@ func main() {
 					return
 				case <-tick.C:
 					if appended() >= *ckptEvery {
-						if err := checkpoint(); err != nil {
+						if err := cat.Checkpoint(); err != nil {
 							log.Printf("isqld: checkpoint: %v", err)
 						} else {
 							log.Printf("isqld: checkpointed catalog v%d, WAL truncated", cat.Snapshot().Version)
@@ -178,13 +175,13 @@ func main() {
 		log.Printf("isqld: shutdown: %v", err)
 	}
 	if len(wals) > 0 {
-		if err := checkpoint(); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			log.Fatalf("isqld: final checkpoint: %v", err)
 		}
 		for _, w := range wals {
 			w.Close()
 		}
-		log.Printf("isqld: checkpointed to %s", ckptPath)
+		log.Printf("isqld: checkpointed to %s", *walDir)
 	}
 	if *save != "" {
 		if err := store.SaveFile(*save, cat.Snapshot()); err != nil {
@@ -195,113 +192,29 @@ func main() {
 }
 
 // openCatalog builds the serving catalog. Without -wal it is in-memory
-// (empty, demo, or loaded file), sharded on request. With -wal,
-// existing durable state (checkpoint and/or log segments) is recovered
-// and wins; otherwise the seed is installed and immediately
-// checkpointed. A nil/empty WAL slice means not durable.
-func openCatalog(demo, load, walDir string, shards, poolPages int) (*store.Catalog, []*store.WAL, string, error) {
+// (empty, demo, or loaded file). With -wal, the directory's durable
+// state is recovered and wins; a fresh directory is seeded from
+// -demo/-load and checkpointed at once. A nil WAL slice means not
+// durable.
+func openCatalog(demo, load, walDir string, shards, poolPages int) (*store.Catalog, []*store.WAL, error) {
 	if walDir == "" {
 		cat, err := newCatalog(demo, load)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, nil, err
 		}
 		cat.Reshard(shards)
-		return cat, nil, "", nil
+		return cat, nil, nil
 	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, nil, "", err
+	seeded := false
+	cat, wals, err := isql.Open(walDir, store.Options{Shards: shards, PoolPages: poolPages,
+		Seed: func() (*store.Catalog, error) {
+			seeded = true
+			return newCatalog(demo, load)
+		}})
+	if err == nil && !seeded && (demo != "" || load != "") {
+		log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
 	}
-	ckptPath := filepath.Join(walDir, "checkpoint.wsd")
-	if shards > 1 {
-		return openShardedCatalog(demo, load, walDir, ckptPath, shards, poolPages)
-	}
-	walPath := filepath.Join(walDir, "wal.log")
-	_, ckErr := os.Stat(ckptPath)
-	wi, wErr := os.Stat(walPath)
-	if ckErr == nil || (wErr == nil && wi.Size() > 0) {
-		if demo != "" || load != "" {
-			log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
-		}
-		cat, wal, err := isql.OpenStorePaged(ckptPath, walPath, poolPages)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return cat, []*store.WAL{wal}, ckptPath, nil
-	}
-	cat, err := newCatalog(demo, load)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	wal, _, err := store.OpenWAL(walPath)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	// Make the seed itself durable before the first transaction: replay
-	// starts from the checkpoint, which must therefore include it.
-	// Paging is attached first so the seed checkpoint already writes the
-	// incremental page format.
-	if err := cat.EnablePaging(ckptPath, poolPages); err != nil {
-		wal.Close()
-		return nil, nil, "", err
-	}
-	if err := cat.Checkpoint(wal, ckptPath); err != nil {
-		wal.Close()
-		return nil, nil, "", err
-	}
-	cat.SetLogger(wal)
-	return cat, []*store.WAL{wal}, ckptPath, nil
-}
-
-// openShardedCatalog is openCatalog's durable sharded arm: per-shard
-// wal-<i>.log segments, merged epoch recovery (isql.OpenStoreSharded)
-// when the directory holds state, seed + immediate checkpoint when not.
-func openShardedCatalog(demo, load, walDir, ckptPath string, shards, poolPages int) (*store.Catalog, []*store.WAL, string, error) {
-	exists := false
-	if _, err := os.Stat(ckptPath); err == nil {
-		exists = true
-	}
-	for si := 0; si < shards && !exists; si++ {
-		if wi, err := os.Stat(store.SegmentPath(walDir, si)); err == nil && wi.Size() > 0 {
-			exists = true
-		}
-	}
-	if exists {
-		if demo != "" || load != "" {
-			log.Printf("isqld: %s already holds catalog state; ignoring -demo/-load", walDir)
-		}
-		cat, wals, err := isql.OpenStoreShardedPaged(ckptPath, walDir, shards, poolPages)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return cat, wals, ckptPath, nil
-	}
-	cat, err := newCatalog(demo, load)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	cat.Reshard(shards)
-	if err := cat.EnablePaging(ckptPath, poolPages); err != nil {
-		return nil, nil, "", err
-	}
-	wals := make([]*store.WAL, shards)
-	for si := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(walDir, si))
-		if err != nil {
-			for _, o := range wals[:si] {
-				o.Close()
-			}
-			return nil, nil, "", err
-		}
-		wals[si] = w
-	}
-	cat.SetShardLoggers(wals)
-	if err := cat.CheckpointAll(ckptPath); err != nil {
-		for _, w := range wals {
-			w.Close()
-		}
-		return nil, nil, "", fmt.Errorf("isqld: checkpointing seed: %w", err)
-	}
-	return cat, wals, ckptPath, nil
+	return cat, wals, err
 }
 
 func newCatalog(demo, load string) (*store.Catalog, error) {

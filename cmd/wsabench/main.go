@@ -783,9 +783,7 @@ func expTxn() {
 		records := records * *scale
 		dir, err := os.MkdirTemp("", "wsabench_txn")
 		must(err)
-		wsdPath := filepath.Join(dir, "checkpoint.wsd")
-		walPath := filepath.Join(dir, "wal.log")
-		cat, wal, err := isql.OpenStore(wsdPath, walPath)
+		cat, wals, err := isql.Open(dir, store.Options{})
 		must(err)
 		sess := isql.FromCatalog(cat)
 		_, err = sess.ExecString("create table T (A, B);")
@@ -794,18 +792,18 @@ func expTxn() {
 			_, err = sess.ExecString(fmt.Sprintf("insert into T values (%d, %d);", i, i*7))
 			must(err)
 		}
-		must(wal.Close()) // crash: no checkpoint
+		closeAll(cat, wals) // crash: no checkpoint
 		var recovered *store.Catalog
 		d := bench(fmt.Sprintf("TXN/recovery/records=%d", records), nil, func() {
-			var w2 *store.WAL
-			recovered, w2, err = isql.OpenStore(wsdPath, walPath)
+			var w2 []*store.WAL
+			recovered, w2, err = isql.Open(dir, store.Options{})
 			must(err)
-			must(w2.Close())
+			closeAll(recovered, w2)
 		})
 		if recovered.Snapshot().Version != cat.Snapshot().Version {
 			must(fmt.Errorf("recovery ended at v%d, want v%d", recovered.Snapshot().Version, cat.Snapshot().Version))
 		}
-		info, err := os.Stat(walPath)
+		info, err := os.Stat(store.SegmentPath(dir, 0))
 		must(err)
 		fmt.Printf("recovery replay of %d logged commits: %s (%d-byte log)\n", records+1, d, info.Size())
 		os.RemoveAll(dir)
@@ -876,8 +874,9 @@ func txnGroupCommit() {
 	for _, writers := range []int{1, 8} {
 		dir, err := os.MkdirTemp("", "wsabench_gc")
 		must(err)
-		cat, wal, err := isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), filepath.Join(dir, "wal.log"))
+		cat, wals, err := isql.Open(dir, store.Options{})
 		must(err)
+		wal := wals[0]
 		seed := isql.FromCatalog(cat)
 		_, err = seed.ExecString("create table T (A, B);")
 		must(err)
@@ -928,7 +927,7 @@ func txnGroupCommit() {
 				acceptRatio("group-commit fsync amortization at 8 writers", amort, 1.3)
 			}
 		}
-		must(wal.Close())
+		closeAll(cat, wals)
 		os.RemoveAll(dir)
 	}
 }
@@ -937,14 +936,14 @@ func txnGroupCommit() {
 // catalog optionally WAL-backed (fsync on commit).
 func txnCommitLatency(op string, k int, withWAL bool) time.Duration {
 	var cat *store.Catalog
-	var wal *store.WAL
 	if withWAL {
 		dir, err := os.MkdirTemp("", "wsabench_txn")
 		must(err)
 		defer os.RemoveAll(dir)
-		cat, wal, err = isql.OpenStore(filepath.Join(dir, "checkpoint.wsd"), filepath.Join(dir, "wal.log"))
+		var wals []*store.WAL
+		cat, wals, err = isql.Open(dir, store.Options{})
 		must(err)
-		defer wal.Close()
+		defer closeAll(cat, wals)
 	} else {
 		cat = store.New(nil)
 	}
@@ -981,7 +980,7 @@ func expCkpt() {
 	must(err)
 	defer os.RemoveAll(dir)
 	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	cat, wal, err := isql.OpenStorePaged(wsdPath, filepath.Join(dir, "wal.log"), pool)
+	cat, wals, err := isql.Open(dir, store.Options{PoolPages: pool})
 	must(err)
 	sess := isql.FromCatalog(cat)
 	for i := 0; i < rels; i++ {
@@ -1000,29 +999,23 @@ func expCkpt() {
 		must(err)
 	}
 
-	// Full checkpoints: every iteration writes the whole catalog to a
-	// fresh page file.
-	swapPagers := func(path string) {
-		for _, ps := range cat.Pagers() {
-			if ps != nil {
-				must(ps.Close())
-			}
-		}
-		must(cat.EnablePaging(path, pool))
-	}
+	// Full checkpoints: every iteration seeds a fresh directory with the
+	// catalog, which Open checkpoints whole into a new page file.
 	iter := 0
+	var fullBytes uint64
 	dFull := bench(fmt.Sprintf("CKPT/checkpoint-full/rels=%d", rels), nil, func() {
-		p := filepath.Join(dir, fmt.Sprintf("full-%d.wsd", iter))
+		p := filepath.Join(dir, fmt.Sprintf("full-%d", iter))
 		iter++
-		swapPagers(p)
-		must(cat.Checkpoint(wal, p))
+		full, fws, err := store.Open(p, store.Options{PoolPages: pool,
+			Seed: func() (*store.Catalog, error) { return store.New(cat.Snapshot().DB), nil }})
+		must(err)
+		fullBytes = full.Pagers()[0].Stats().BytesWritten
+		closeAll(full, fws)
 	})
-	fullBytes := cat.Pagers()[0].Stats().BytesWritten
 
-	// Incremental: re-home on the main path, establish the base, then
-	// each iteration dirties one relation and checkpoints only its pages.
-	swapPagers(wsdPath)
-	must(cat.Checkpoint(wal, wsdPath))
+	// Incremental: establish the base, then each iteration dirties one
+	// relation and checkpoints only its pages.
+	must(cat.Checkpoint())
 	ps := cat.Pagers()[0]
 	incrBase := ps.Stats()
 	v := 0
@@ -1030,14 +1023,14 @@ func expCkpt() {
 		_, err := sess.ExecString(fmt.Sprintf("insert into T00 values (%d, %d);", 900000+v, v))
 		must(err)
 		v++
-		must(cat.Checkpoint(wal, wsdPath))
+		must(cat.Checkpoint())
 	})
 	incrStats := ps.Stats()
 	incrBytes := (incrStats.BytesWritten - incrBase.BytesWritten) /
 		(incrStats.Checkpoints - incrBase.Checkpoints)
 	noopBase := ps.Stats()
 	dNoop := bench("CKPT/checkpoint-noop", nil, func() {
-		must(cat.Checkpoint(wal, wsdPath))
+		must(cat.Checkpoint())
 	})
 	noopStats := ps.Stats()
 	fmt.Printf("%-28s %-14s %12s\n", "checkpoint", "time", "bytes")
@@ -1055,18 +1048,15 @@ func expCkpt() {
 	// Cold start: reopen the checkpointed catalog with a pool a fraction
 	// of the file size, versus a pool that holds it entirely.
 	wantVersion := cat.Snapshot().Version
-	must(wal.Close())
+	closeAll(cat, wals)
 	coldstart := func(op string, poolPages int) time.Duration {
 		return bench(op, nil, func() {
-			c2, w2, err := isql.OpenStorePaged(wsdPath, filepath.Join(dir, "wal.log"), poolPages)
+			c2, w2, err := isql.Open(dir, store.Options{PoolPages: poolPages})
 			must(err)
 			if got := c2.Snapshot().Version; got != wantVersion {
 				must(fmt.Errorf("cold start recovered v%d, want v%d", got, wantVersion))
 			}
-			for _, p := range c2.Pagers() {
-				must(p.Close())
-			}
-			must(w2.Close())
+			closeAll(c2, w2)
 		})
 	}
 	dTiny := coldstart("CKPT/coldstart/pool=8", 8)
@@ -1110,9 +1100,7 @@ func expCkpt() {
 		for mode, deltas := range map[int]bool{0: true, 1: false} {
 			rdir, err := os.MkdirTemp("", "wsabench_ckpt_rec")
 			must(err)
-			wsd2 := filepath.Join(rdir, "checkpoint.wsd")
-			wal2path := filepath.Join(rdir, "wal.log")
-			c2, w2, err := isql.OpenStorePaged(wsd2, wal2path, pool)
+			c2, w2, err := isql.Open(rdir, store.Options{PoolPages: pool})
 			must(err)
 			c2.SetLogDeltas(deltas)
 			s2 := isql.FromCatalog(c2)
@@ -1120,7 +1108,7 @@ func expCkpt() {
 			must(err)
 			_, err = s2.ExecString(seed.String())
 			must(err)
-			must(c2.Checkpoint(w2, wsd2)) // the WAL tail holds only the analyses
+			must(c2.Checkpoint()) // the WAL tail holds only the analyses
 			for i := 0; i < records; i++ {
 				if i > 0 {
 					_, err := s2.ExecString("drop table YearQuantity;")
@@ -1129,21 +1117,18 @@ func expCkpt() {
 				_, err := s2.ExecString(whatIf)
 				must(err)
 			}
-			must(w2.Close()) // crash: the analyses live only in the log
+			closeAll(c2, w2) // crash: the analyses live only in the log
 			name := "delta"
 			if !deltas {
 				name = "stmt"
 			}
 			times[mode] = bench(fmt.Sprintf("CKPT/recovery-%s/records=%d", name, records), nil, func() {
-				c3, w3, err := isql.OpenStorePaged(wsd2, wal2path, pool)
+				c3, w3, err := isql.Open(rdir, store.Options{PoolPages: pool})
 				must(err)
 				if got := c3.Snapshot().Version; got != c2.Snapshot().Version {
 					must(fmt.Errorf("recovery ended at v%d, want v%d", got, c2.Snapshot().Version))
 				}
-				for _, p := range c3.Pagers() {
-					must(p.Close())
-				}
-				must(w3.Close())
+				closeAll(c3, w3)
 			})
 			os.RemoveAll(rdir)
 		}
@@ -1300,7 +1285,7 @@ func aggTornDB(k, d int) (*wsd.DecompDB, wsa.Expr) {
 // (1) transactional commit throughput under contention — concurrent
 // writers each looping BEGIN → inserts into their own table → COMMIT,
 // swept over shard counts {1,2,4,8} × writers {1,8}, every commit
-// WAL-logged. On the unsharded catalog every concurrent commit loses
+// WAL-logged. On a 1-shard catalog every concurrent commit loses
 // first-committer-wins validation to whichever writer published first
 // and re-executes its statements (a conflict-retry storm); shard-level
 // validation confines conflicts to writers whose tables share a home
@@ -1308,8 +1293,8 @@ func aggTornDB(k, d int) (*wsd.DecompDB, wsa.Expr) {
 // own WAL segment — without ever retrying. Floor: ≥3x commit throughput
 // at 8 writers on 4 shards versus 8 writers on 1 shard. (2) routed
 // single-statement latency — a lone writer's auto-commit inserts take
-// one shard's write path and must stay within 10% of the unsharded
-// path. (3) scattered reads — selects over choice tables spread across
+// one shard's write path and must stay within 10% of the 1-shard
+// catalog's. (3) scattered reads — selects over choice tables spread across
 // the shards plus a cross-shard merge join, where the sharded snapshot
 // hands the engine its component-to-shard map: scatter ordering may
 // change scan chunking, never latency class or answers.
@@ -1394,9 +1379,7 @@ func expShard() {
 			fmt.Printf("%-8d %-8d %-9d %-10d %-8d %-14s %-14s\n",
 				shards, writers, commits, conflicts, syncs, d, d/time.Duration(perRound))
 			throughput[[2]int{shards, writers}] = d
-			for _, w := range wals {
-				must(w.Close())
-			}
+			closeAll(cat, wals)
 			os.RemoveAll(dir)
 		}
 	}
@@ -1459,8 +1442,8 @@ func expShard() {
 		})
 	}
 	single := float64(cfgs[0].best) / float64(cfgs[1].best)
-	fmt.Printf("\nrouted single-writer insert, 4 shards vs unsharded: %.2fx (blocking floor 0.9x, i.e. within ~10%%)\n", single)
-	acceptRatio("routed single-shard insert latency, 4 shards vs unsharded", single, 0.9)
+	fmt.Printf("\nrouted single-writer insert, 4 shards vs 1 shard: %.2fx (blocking floor 0.9x, i.e. within ~10%%)\n", single)
+	acceptRatio("routed single-shard insert latency, 4 shards vs 1 shard", single, 0.9)
 
 	// Scattered reads over a sharded snapshot (in-memory): 8 choice
 	// tables spread round-robin over the shards, read one select per
@@ -1497,24 +1480,26 @@ func expShard() {
 		})
 	}
 	scatter := float64(scanNs[0]) / float64(scanNs[1])
-	fmt.Printf("scattered selects + cross-shard join, 4 shards vs unsharded: %.2fx (blocking floor 0.7x)\n", scatter)
-	acceptRatio("scattered read latency, 4 shards vs unsharded", scatter, 0.7)
+	fmt.Printf("scattered selects + cross-shard join, 4 shards vs 1 shard: %.2fx (blocking floor 0.7x)\n", scatter)
+	acceptRatio("scattered read latency, 4 shards vs 1 shard", scatter, 0.7)
 }
 
 // shardBenchCatalog opens a fresh WAL-backed catalog sharded n ways in
-// dir — the cmd/isqld wiring without the recovery arm. shards = 1 opens
-// the unsharded single-log write path.
+// dir — the cmd/isqld wiring.
 func shardBenchCatalog(dir string, shards int) (*store.Catalog, []*store.WAL) {
-	cat := store.New(nil)
-	cat.Reshard(shards)
-	wals := make([]*store.WAL, cat.Shards())
-	for i := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(dir, i))
-		must(err)
-		wals[i] = w
-	}
-	cat.SetShardLoggers(wals)
+	cat, wals, err := isql.Open(dir, store.Options{Shards: shards})
+	must(err)
 	return cat, wals
+}
+
+// closeAll closes a durable catalog's WAL segments and page files.
+func closeAll(cat *store.Catalog, wals []*store.WAL) {
+	for _, w := range wals {
+		must(w.Close())
+	}
+	for _, p := range cat.Pagers() {
+		must(p.Close())
+	}
 }
 
 // shardSpreadNames picks n distinct table names whose home shards cycle

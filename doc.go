@@ -60,26 +60,33 @@
 // retry is exactly the serial schedule "winner first, then this
 // transaction" (differentially enforced by difftest.CheckTxnRetry).
 //
-// Durability is a statement-level write-ahead log (store.WAL): every
-// committed transaction appends one CRC-framed record — the statement
-// texts plus the version they committed as — and fsyncs before the
-// version becomes visible. Concurrent committers group-commit: each
-// stages and takes its version under the writer lock, then enqueues its
-// record and releases the lock; a leader coalesces every queued record
-// into one write and one fsync, publishes the versions in order, and
+// Durability is a write-ahead log (store.WAL), one segment per shard:
+// every committed transaction appends a CRC-framed record — the
+// statement texts plus the epoch they committed as — to the segment of
+// each shard it touched and fsyncs before the version becomes visible.
+// Every catalog, including the default 1-shard one, commits through
+// the same per-shard path. Concurrent committers group-commit: each
+// stages and takes its epoch under its shard locks, then enqueues its
+// record and releases the locks; a leader coalesces every queued record
+// into one write and one fsync, publishes the epochs in order, and
 // hands leadership of later arrivals to a fresh flusher so no committer
-// waits on work that is not its own. Readers only ever observe durable
-// versions (the read pointer advances after the fsync; writers chain on
-// the newest assigned version), and ordering guarantees survive a crash
-// anywhere — including mid-batch — because recovery replays exactly the
-// intact record prefix: an un-acked commit may be recovered (its record
-// hit disk before the crash) but an acked commit is never lost and no
-// record replays out of order. store.Open (isql.OpenStore with the
-// I-SQL replayer) recovers the last checkpoint plus the log tail,
-// reproducing the committed catalog byte-for-byte; torn tails are
-// CRC-detected and truncated, and checkpoints (Catalog.Checkpoint)
-// bound replay work by draining in-flight group commits and resetting
-// the log under the writer lock.
+// waits on work that is not its own. A commit with a single participant
+// writes one plain record with one fsync; only commits spanning shards
+// pay the two-phase stage + marker protocol. Readers only ever observe
+// durable versions (the read pointer advances after the fsync; writers
+// chain on the newest assigned epoch), and ordering guarantees survive
+// a crash anywhere — including mid-batch — because recovery replays
+// exactly the intact record prefix: an un-acked commit may be recovered
+// (its record hit disk before the crash) but an acked commit is never
+// lost and no record replays out of order. store.Open(dir, Options)
+// (isql.Open fills in the I-SQL replayer) recovers dir/checkpoint.wsd
+// plus the dir/wal-<i>.log tails at any shard count, reproducing the
+// committed catalog byte-for-byte; a fresh directory is seeded from
+// Options.Seed and checkpointed at once. Torn tails are CRC-detected
+// and truncated; a gap in a 1-shard log fails recovery instead of
+// replaying around it. Catalog.Checkpoint bounds replay work by
+// draining in-flight group commits and resetting every segment with
+// all shard locks held.
 //
 // # Paged storage
 //

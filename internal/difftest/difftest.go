@@ -156,7 +156,9 @@ func CheckStore(q wsa.Expr, db *wsd.DecompDB) error {
 		return fmt.Errorf("store path (plan %v) disagrees with the reference for %s\ninput:\n%s\nreference:\n%s\nstore:\n%s",
 			plan, q, db, w, g)
 	}
-	snap4 := store.NewSharded(db, 4).Snapshot()
+	cat4 := store.New(db)
+	cat4.Reshard(4)
+	snap4 := cat4.Snapshot()
 	out4, plan4, err := store.Query(snap4, "", q, 0)
 	if err != nil {
 		return fmt.Errorf("sharded store path failed for %s where the reference succeeded: %w", q, err)

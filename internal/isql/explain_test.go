@@ -25,7 +25,7 @@ import (
 // byte-identical.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	dir := t.TempDir()
-	cat, wal, err := OpenStore(filepath.Join(dir, "ckpt.wsd"), filepath.Join(dir, "wal.log"))
+	cat, wal, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

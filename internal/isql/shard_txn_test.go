@@ -36,9 +36,8 @@ func crossShardTables(t *testing.T, cat *store.Catalog) (string, string) {
 func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
 
-	cat, wals, err := OpenStoreSharded(wsdPath, dir, nshards)
+	cat, wals, err := Open(dir, store.Options{Shards: nshards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 		w.Close() // crash: no checkpoint, open transaction dropped
 	}
 
-	cat2, wals2, err := OpenStoreSharded(wsdPath, dir, nshards)
+	cat2, wals2, err := Open(dir, store.Options{Shards: nshards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +93,8 @@ func TestShardedCrashRecoveryByteIdentical(t *testing.T) {
 func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
 
-	cat, wals, err := OpenStoreSharded(wsdPath, dir, nshards)
+	cat, wals, err := Open(dir, store.Options{Shards: nshards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cat2, wals2, err := OpenStoreSharded(wsdPath, dir, nshards)
+	cat2, wals2, err := Open(dir, store.Options{Shards: nshards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +154,74 @@ func TestShardedCrashTornMarkerRollsBack(t *testing.T) {
 	}
 	if got := singleAnswer(t, s2, fmt.Sprintf("select certain A from %s;", tb)); got.Len() != 1 {
 		t.Fatalf("%s has %d certain rows after rollback, want 1 (888 must not survive)", tb, got.Len())
+	}
+}
+
+// TestReopenAtAnyShardCount is the I-SQL-level reshard rule: a catalog
+// checkpointed cleanly at 4 shards — tables homed on every shard, one of
+// them repaired into components — reopens byte-identically at 1, 2 and
+// 4 shards, so no relation comes back missing rows.
+func TestReopenAtAnyShardCount(t *testing.T) {
+	const nshards = 4
+	dir := t.TempDir()
+	cat, wals, err := Open(dir, store.Options{Shards: nshards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, nshards)
+	for i, found := 0, 0; found < nshards; i++ {
+		name := fmt.Sprintf("R%d", i)
+		if si := cat.ShardOf(name); names[si] == "" {
+			names[si] = name
+			found++
+		}
+	}
+	s := FromCatalog(cat)
+	for i, name := range names {
+		mustScript(t, s,
+			fmt.Sprintf("create table %s (K, V);", name),
+			fmt.Sprintf("insert into %s values (1, %d), (1, %d), (2, %d);", name, 10*i, 10*i+1, 10*i+2),
+		)
+	}
+	mustScript(t, s, fmt.Sprintf("create table Clean as select * from %s repair by key K;", names[3]))
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := rawSnapBytes(t, cat.Snapshot())
+	for _, w := range wals {
+		w.Close()
+	}
+
+	for _, n := range []int{1, 2, nshards} {
+		cdir := t.TempDir()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cdir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat2, wals2, err := Open(cdir, store.Options{Shards: n})
+		if err != nil {
+			t.Fatalf("reopen at %d shards: %v", n, err)
+		}
+		if got := rawSnapBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatalf("reopen at %d shards differs from the 4-shard checkpoint\n--- got ---\n%s\n--- want ---\n%s", n, got, want)
+		}
+		s2 := FromCatalog(cat2)
+		for _, name := range names {
+			if got := singleAnswer(t, s2, fmt.Sprintf("select certain V from %s;", name)); got.Len() != 3 {
+				t.Fatalf("reopen at %d shards: %s has %d certain rows, want 3", n, name, got.Len())
+			}
+		}
+		for _, w := range wals2 {
+			w.Close()
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Transactional sessions. Outside a transaction every statement
-// auto-commits through the catalog's single-writer Update (one
+// auto-commits through the catalog's Update or UpdateRouted (one
 // statement, one version). BEGIN switches the session's execution
 // target to a store.Staged transaction: the same statement code runs
 // against a private staging snapshot, invisible to every other session,
@@ -25,9 +25,8 @@ type execTarget interface {
 	Snapshot() *store.Snapshot
 	Update(fn func(*store.Tx) error) error
 	// UpdateRouted is Update carrying the statement's relation
-	// references: on a sharded catalog the commit takes only the locks
-	// of the shards those relations (and their component closure) route
-	// to. nil refs means the statement has no routing information (DDL,
+	// references: the commit takes only the locks of the shards those
+	// relations (and their component closure) route to. nil refs means the statement has no routing information (DDL,
 	// CTAS, legacy DML) and commits against every shard.
 	UpdateRouted(refs []string, fn func(*store.Tx) error) error
 }
@@ -183,31 +182,11 @@ func ReplayRecord(cat *store.Catalog, rec store.WALRecord) error {
 	return sess.Commit()
 }
 
-// OpenStore opens a WAL-backed catalog: the last checkpoint at wsdPath
-// plus the replayed statement-log tail at walPath (see store.Open). The
-// returned catalog has the WAL attached, so every further commit is
-// logged and fsynced before it becomes visible.
-func OpenStore(wsdPath, walPath string) (*store.Catalog, *store.WAL, error) {
-	return store.Open(wsdPath, walPath, ReplayRecord)
-}
-
-// OpenStoreSharded opens a component-sharded WAL-backed catalog: the
-// last checkpoint at wsdPath plus the merged replay of the per-shard
-// statement-log segments wal-<i>.log under walDir (see
-// store.OpenSharded). nshards <= 1 degrades to the single-segment
-// OpenStore layout.
-func OpenStoreSharded(wsdPath, walDir string, nshards int) (*store.Catalog, []*store.WAL, error) {
-	return store.OpenSharded(wsdPath, walDir, nshards, ReplayRecord)
-}
-
-// OpenStorePaged is OpenStore with an explicit buffer-pool capacity (in
-// pages) for the page-file checkpoint base.
-func OpenStorePaged(wsdPath, walPath string, poolPages int) (*store.Catalog, *store.WAL, error) {
-	return store.OpenPaged(wsdPath, walPath, ReplayRecord, poolPages)
-}
-
-// OpenStoreShardedPaged is OpenStoreSharded with an explicit per-shard
-// buffer-pool capacity.
-func OpenStoreShardedPaged(wsdPath, walDir string, nshards, poolPages int) (*store.Catalog, []*store.WAL, error) {
-	return store.OpenShardedPaged(wsdPath, walDir, nshards, ReplayRecord, poolPages)
+// Open recovers (or creates and seeds) the durable catalog in dir with
+// isql statement replay as the WAL applier — store.Open with
+// opt.Applier set to ReplayRecord. Every further commit on the returned
+// catalog is logged and fsynced before it becomes visible.
+func Open(dir string, opt store.Options) (*store.Catalog, []*store.WAL, error) {
+	opt.Applier = ReplayRecord
+	return store.Open(dir, opt)
 }

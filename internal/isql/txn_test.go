@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -293,6 +292,16 @@ func TestPrepareRoundTripString(t *testing.T) {
 	}
 }
 
+// open1 opens the 1-shard durable catalog in dir and returns its only
+// WAL segment.
+func open1(dir string) (*store.Catalog, *store.WAL, error) {
+	cat, wals, err := Open(dir, store.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cat, wals[0], nil
+}
+
 // TestCrashRecoveryByteIdentical is the WAL acceptance test: run a
 // workload over a WAL-backed catalog — auto-commits, a committed
 // multi-statement transaction, and an uncommitted one in flight — kill
@@ -301,10 +310,8 @@ func TestPrepareRoundTripString(t *testing.T) {
 // committed snapshot.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
 
-	cat, wal, err := OpenStore(wsdPath, walPath)
+	cat, wal, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +331,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	mustScript(t, s, "begin;", "delete from Census;", "drop table Clean;")
 	wal.Close() // crash: no checkpoint, open transaction dropped
 
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
+	cat2, wal2, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,10 +356,8 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 // commits, crash — recovery = checkpoint + replayed tail.
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
 
-	cat, wal, err := OpenStore(wsdPath, walPath)
+	cat, wal, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +366,7 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 		"create table T (A);",
 		"insert into T values (1);",
 	)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	mustScript(t, s,
@@ -371,7 +376,7 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	want := rawSnapBytes(t, cat.Snapshot())
 	wal.Close()
 
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
+	cat2, wal2, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,9 +392,7 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 // survive commit → statement log → crash → replay byte-for-byte.
 func TestWALLiteralRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := OpenStore(wsdPath, walPath)
+	cat, wal, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +406,7 @@ func TestWALLiteralRoundTrip(t *testing.T) {
 	)
 	want := rawSnapBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
+	cat2, wal2, err := open1(dir)
 	if err != nil {
 		t.Fatalf("replaying literal-heavy WAL: %v", err)
 	}
@@ -417,9 +420,7 @@ func TestWALLiteralRoundTrip(t *testing.T) {
 // scanner buffer must replay, not be mistaken for a torn tail.
 func TestWALLargeRecordRecovered(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := OpenStore(wsdPath, walPath)
+	cat, wal, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestWALLargeRecordRecovered(t *testing.T) {
 	mustScript(t, s, "begin;", fmt.Sprintf("insert into T values (1, '%s');", big), "commit;")
 	want := rawSnapBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := OpenStore(wsdPath, walPath)
+	cat2, wal2, err := open1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

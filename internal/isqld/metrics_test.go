@@ -3,6 +3,7 @@ package isqld
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,30 +16,28 @@ import (
 	"time"
 
 	"worldsetdb/internal/datagen"
+	"worldsetdb/internal/isql"
 	"worldsetdb/internal/obs"
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/store"
 )
 
-// shardedWALServer builds a 4-shard, WAL-backed census catalog and
-// serves it — the acceptance shape for /metrics: per-shard commit and
-// fsync histograms must all be present.
-func shardedWALServer(t *testing.T, opts ...Option) (*httptest.Server, *store.Catalog) {
+// walServer builds an nshards-shard, WAL-backed, paged census catalog
+// and serves it — the acceptance shape for /metrics: per-shard commit
+// and fsync histograms must all be present.
+func walServer(t *testing.T, nshards int, opts ...Option) (*httptest.Server, *store.Catalog) {
 	t.Helper()
-	dir := t.TempDir()
-	cat := store.FromComplete([]string{"Census"},
-		[]*relation.Relation{datagen.Census(50, 10, 7)})
-	cat.Reshard(4)
-	wals := make([]*store.WAL, 4)
-	for si := range wals {
-		w, _, err := store.OpenWAL(store.SegmentPath(dir, si))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wals[si] = w
+	cat, wals, err := isql.Open(t.TempDir(), store.Options{Shards: nshards, PoolPages: 64,
+		Seed: func() (*store.Catalog, error) {
+			return store.FromComplete([]string{"Census"},
+				[]*relation.Relation{datagen.Census(50, 10, 7)}), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range wals {
 		t.Cleanup(func() { w.Close() })
 	}
-	cat.SetShardLoggers(wals)
 	return serveCat(t, cat, opts...), cat
 }
 
@@ -48,7 +47,7 @@ func shardedWALServer(t *testing.T, opts ...Option) (*httptest.Server, *store.Ca
 // histograms, per-relation decomposition gauges, execution-path and
 // request counters.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := shardedWALServer(t)
+	ts, _ := walServer(t, 4)
 
 	// Traffic on several paths: a repair CTAS (native), a select, an
 	// aggregate (legacy fallback), and inserts routing to shards.
@@ -126,12 +125,7 @@ insert into Audit values ('b', 2);
 // WAL tail, and the checkpoint-bytes histogram — and the exposition
 // stays promlint-clean.
 func TestMetricsDurabilityGauges(t *testing.T) {
-	ts, cat := shardedWALServer(t)
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	if err := cat.EnablePaging(wsdPath, 64); err != nil {
-		t.Fatal(err)
-	}
+	ts, cat := walServer(t, 4)
 	if code, out := post(t, ts.URL+"/exec", `
 create table Audit (Who, What);
 insert into Audit values ('a', 1);
@@ -139,7 +133,7 @@ insert into Audit values ('b', 2);
 `); code != http.StatusOK {
 		t.Fatalf("traffic: %d %s", code, out)
 	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +175,7 @@ insert into Audit values ('b', 2);
 			t.Errorf("missing checkpoint-bytes histogram for %s", shard)
 		}
 	}
-	// After CheckpointAll: zero WAL tail everywhere, age non-negative,
+	// After Checkpoint: zero WAL tail everywhere, age non-negative,
 	// bases on disk. Parse the gauge samples directly.
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "wsdb_wal_tail_records{") {
@@ -205,7 +199,7 @@ insert into Audit values ('b', 2);
 // TestHealthzShardEpochs asserts /healthz reports the shard count and
 // per-shard durable epochs (the CI recovery smoke greps these).
 func TestHealthzShardEpochs(t *testing.T) {
-	ts, _ := shardedWALServer(t)
+	ts, _ := walServer(t, 4)
 	if code, out := post(t, ts.URL+"/exec", `create table Audit (Who); insert into Audit values ('x');`); code != http.StatusOK {
 		t.Fatalf("setup: %d %s", code, out)
 	}
@@ -237,6 +231,79 @@ func TestHealthzShardEpochs(t *testing.T) {
 	}
 	if max == 0 {
 		t.Fatalf("healthz = %+v: no shard published a durable epoch after commits", h)
+	}
+}
+
+// TestMetricsOneShardRows: a 1-shard catalog commits through the same
+// shard path as a sharded one, so /metrics exports its shard="0" commit
+// rows — conflicts included — and /healthz its single durable epoch.
+func TestMetricsOneShardRows(t *testing.T) {
+	ts, cat := walServer(t, 1)
+	if code, out := post(t, ts.URL+"/exec", `create table Audit (Who); insert into Audit values ('x');`); code != http.StatusOK {
+		t.Fatalf("setup: %d %s", code, out)
+	}
+	// A staged transaction that loses first-committer-wins to an
+	// auto-commit landing between its BEGIN and COMMIT.
+	s := isql.FromCatalog(cat)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecString("insert into Audit values ('y');"); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := post(t, ts.URL+"/exec", `insert into Audit values ('z');`); code != http.StatusOK {
+		t.Fatalf("winner: %d %s", code, out)
+	}
+	var ce *store.ConflictError
+	if err := s.Commit(); !errors.As(err, &ce) {
+		t.Fatalf("loser commit: %v, want *store.ConflictError", err)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintProm(data); err != nil {
+		t.Fatalf("invalid Prometheus exposition: %v\n%s", err, data)
+	}
+	text := string(data)
+	for _, row := range []string{
+		`wsdb_shard_version{shard="0"} `,
+		`wsdb_shard_commits_total{shard="0"} `,
+		`wsdb_shard_conflicts_total{shard="0"} 1`,
+		`wsdb_shard_pending{shard="0"} 0`,
+		`wsdb_shard_wal_fsyncs_total{shard="0"} `,
+		`wsdb_commit_queue_seconds_count{shard="0"} `,
+		`wsdb_wal_fsync_seconds_count{shard="0"} `,
+	} {
+		if !strings.Contains(text, "\n"+row) {
+			t.Errorf("1-shard /metrics lacks the row %q", row)
+		}
+	}
+	if strings.Contains(text, `shard="1"`) {
+		t.Error("1-shard /metrics exports a shard 1 row")
+	}
+
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Version     uint64   `json:"version"`
+		Shards      int      `json:"shards"`
+		ShardEpochs []uint64 `json:"shard_epochs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Shards != 1 || len(h.ShardEpochs) != 1 || h.ShardEpochs[0] != h.Version || h.Version != cat.Snapshot().Version {
+		t.Fatalf("healthz = %+v, want 1 shard whose epoch is the catalog version %d", h, cat.Snapshot().Version)
 	}
 }
 
@@ -371,7 +438,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // from concurrent writers while /metrics and /stats read them — run
 // under -race in CI.
 func TestConcurrentMetricsRace(t *testing.T) {
-	ts, _ := shardedWALServer(t, WithTxnRetries(32), WithSlowQuery(time.Nanosecond, io.Discard))
+	ts, _ := walServer(t, 4, WithTxnRetries(32), WithSlowQuery(time.Nanosecond, io.Discard))
 	if code, out := post(t, ts.URL+"/exec", `create table Audit (Who, What);`); code != http.StatusOK {
 		t.Fatalf("setup: %d %s", code, out)
 	}

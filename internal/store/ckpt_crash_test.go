@@ -50,10 +50,9 @@ func mkAll(t *testing.T, cat *Catalog, names []string) {
 func TestTornCheckpointTempFileIgnored(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
 	names := shardNames(nshards)
 
-	cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+	cat, wals, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestTornCheckpointTempFileIgnored(t *testing.T) {
 	for i, n := range names {
 		sIns(t, cat, n, 100+i)
 	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range names {
@@ -74,14 +73,14 @@ func TestTornCheckpointTempFileIgnored(t *testing.T) {
 
 	// Simulate the torn checkpoint: half-written temp files for the main
 	// file and a side file, killed before their renames.
-	for _, base := range []string{"cat.wsd", "cat.wsd.s2"} {
+	for _, base := range []string{"checkpoint.wsd", "checkpoint.wsd.s2"} {
 		stray := filepath.Join(dir, "."+base+".tmp-1234")
 		if err := os.WriteFile(stray, bytes.Repeat([]byte{0xAB}, 12345), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+	cat2, wals2, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +98,14 @@ func TestTornCheckpointTempFileIgnored(t *testing.T) {
 // onto it byte-identically, and the next checkpoint succeeds.
 func TestCrashMidPageFlushUnsharded(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
+	wsdPath := filepath.Join(dir, "checkpoint.wsd")
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	put(t, cat, "T", 1)
 	put(t, cat, "U", 2)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	baseVer := cat.Pagers()[0].Version()
@@ -116,7 +114,7 @@ func TestCrashMidPageFlushUnsharded(t *testing.T) {
 	want := saveBytes(t, cat.Snapshot())
 
 	cat.Pagers()[0].failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
-	if err := cat.Checkpoint(wal, wsdPath); err == nil {
+	if err := cat.Checkpoint(); err == nil {
 		t.Fatal("checkpoint with injected crash reported success")
 	}
 	if st := cat.DurabilityStats(); st[0].WALTailRecords == 0 {
@@ -134,7 +132,7 @@ func TestCrashMidPageFlushUnsharded(t *testing.T) {
 	}
 	ps.Close()
 
-	cat2, wal2, err := Open(wsdPath, walPath, putApplier)
+	cat2, wal2, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestCrashMidPageFlushUnsharded(t *testing.T) {
 		t.Fatal("recovery after mid-flush crash differs from the committed state")
 	}
 	// The store heals: the next checkpoint commits and reloads cleanly.
-	if err := cat2.Checkpoint(wal2, wsdPath); err != nil {
+	if err := cat2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	got := reloadSnap(t, wsdPath, 16)
@@ -152,7 +150,7 @@ func TestCrashMidPageFlushUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedCrashMidPageFlush: CheckpointAll on a 4-shard catalog dies
+// TestShardedCrashMidPageFlush: Checkpoint on a 4-shard catalog dies
 // mid-flush on one side shard — other side files may already be at the
 // new version, the main file is still at the old one, and no WAL was
 // truncated. Recovery merges the mixed-epoch files and replays the WALs
@@ -160,10 +158,9 @@ func TestCrashMidPageFlushUnsharded(t *testing.T) {
 func TestShardedCrashMidPageFlush(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
 	names := shardNames(nshards)
 
-	cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+	cat, wals, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestShardedCrashMidPageFlush(t *testing.T) {
 	for i, n := range names {
 		sIns(t, cat, n, 100+i)
 	}
-	if err := cat.CheckpointAll(wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range names {
@@ -180,34 +177,34 @@ func TestShardedCrashMidPageFlush(t *testing.T) {
 	want := dbBytes(t, cat.Snapshot())
 
 	cat.Pagers()[2].failBeforeMeta = func() error { return errors.New("injected crash before meta commit") }
-	if err := cat.CheckpointAll(wsdPath); err == nil {
-		t.Fatal("CheckpointAll with injected crash reported success")
+	if err := cat.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint with injected crash reported success")
 	}
 	for i, st := range cat.DurabilityStats() {
 		if st.WALTailRecords == 0 {
-			t.Fatalf("failed CheckpointAll truncated shard %d's WAL", i)
+			t.Fatalf("failed Checkpoint truncated shard %d's WAL", i)
 		}
 	}
 	for _, w := range wals {
 		w.Close() // crash
 	}
 
-	cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+	cat2, wals2, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := dbBytes(t, cat2.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("recovery after torn CheckpointAll differs from the committed state")
+		t.Fatal("recovery after torn Checkpoint differs from the committed state")
 	}
-	// The store heals: a clean CheckpointAll commits every shard and a
+	// The store heals: a clean Checkpoint commits every shard and a
 	// further reopen still matches.
-	if err := cat2.CheckpointAll(wsdPath); err != nil {
+	if err := cat2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range wals2 {
 		w.Close()
 	}
-	cat3, wals3, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+	cat3, wals3, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +225,8 @@ func TestShardedTornCheckpointEverySideShard(t *testing.T) {
 		victim := victim
 		t.Run(fmt.Sprintf("shard%d", victim), func(t *testing.T) {
 			dir := t.TempDir()
-			wsdPath := filepath.Join(dir, "cat.wsd")
 			names := shardNames(nshards)
-			cat, wals, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+			cat, wals, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +234,7 @@ func TestShardedTornCheckpointEverySideShard(t *testing.T) {
 			for i, n := range names {
 				sIns(t, cat, n, 10+i)
 			}
-			if err := cat.CheckpointAll(wsdPath); err != nil {
+			if err := cat.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			sIns(t, cat, names[victim], 777)
@@ -246,13 +242,13 @@ func TestShardedTornCheckpointEverySideShard(t *testing.T) {
 			want := dbBytes(t, cat.Snapshot())
 
 			cat.Pagers()[victim].failBeforeMeta = func() error { return errors.New("injected crash") }
-			if err := cat.CheckpointAll(wsdPath); err == nil {
-				t.Fatal("CheckpointAll with injected crash reported success")
+			if err := cat.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint with injected crash reported success")
 			}
 			for _, w := range wals {
 				w.Close()
 			}
-			cat2, wals2, err := OpenSharded(wsdPath, dir, nshards, shardApplier)
+			cat2, wals2, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 			if err != nil {
 				t.Fatal(err)
 			}

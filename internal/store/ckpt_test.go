@@ -79,15 +79,15 @@ func put(t *testing.T, cat *Catalog, name string, v int64) {
 // untouched — the no-op skip.
 func TestCheckpointNoopZeroWrites(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
+	wsdPath := filepath.Join(dir, "checkpoint.wsd")
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
 	put(t, cat, "T", 1)
 	put(t, cat, "T", 2)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ps := cat.Pagers()[0]
@@ -96,7 +96,7 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	after := ps.Stats()
@@ -125,8 +125,7 @@ func TestCheckpointNoopZeroWrites(t *testing.T) {
 // small fraction of the bytes — O(dirty components), not O(catalog).
 func TestCheckpointIncrementalBytes(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +135,14 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 			put(t, cat, fmt.Sprintf("T%02d", i), int64(i*100+k))
 		}
 	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ps := cat.Pagers()[0]
 	full := ps.Stats().BytesWritten
 
 	put(t, cat, "T00", 424242)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	incr := ps.Stats().BytesWritten - full
@@ -153,7 +152,7 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
+	cat2, wal2, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,19 +163,19 @@ func TestCheckpointIncrementalBytes(t *testing.T) {
 }
 
 // TestCheckpointMigratesV1: a catalog saved in the v1 JSON format opens
-// through OpenPaged, keeps serving commits, and its first checkpoint
+// through Open, keeps serving commits, and its first checkpoint
 // rewrites the base in the v2 page format — reopening from the migrated
 // file is byte-identical.
 func TestCheckpointMigratesV1(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
+	wsdPath := filepath.Join(dir, "checkpoint.wsd")
 	db := deltaDB()
 	db.Components = []wsd.DBComponent{compOf(db, 1, "A", 10, 11), compOf(db, 2, "B", 20)}
 	if err := SaveFile(wsdPath, &Snapshot{Version: 4, DB: db, Views: map[string]string{"V": "select 1"}}); err != nil {
 		t.Fatal(err)
 	}
 
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatalf("opening a v1 base: %v", err)
 	}
@@ -184,7 +183,7 @@ func TestCheckpointMigratesV1(t *testing.T) {
 		t.Fatalf("v1 base loaded at version %d, want 4", cat.Snapshot().Version)
 	}
 	put(t, cat, "A", 99)
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	want := saveBytes(t, cat.Snapshot())
@@ -200,7 +199,7 @@ func TestCheckpointMigratesV1(t *testing.T) {
 	}
 	ps.Close()
 
-	cat2, wal2, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
+	cat2, wal2, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +214,7 @@ func TestCheckpointMigratesV1(t *testing.T) {
 // always fails, which only delta replay can survive.
 func TestRecoveryReplaysDeltas(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +227,7 @@ func TestRecoveryReplaysDeltas(t *testing.T) {
 	noStmts := func(cat *Catalog, rec WALRecord) error {
 		return fmt.Errorf("statement replay invoked for v%d — delta replay should have handled it", rec.Version)
 	}
-	cat2, wal2, err := Open(wsdPath, walPath, noStmts)
+	cat2, wal2, err := open1(dir, noStmts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +242,7 @@ func TestRecoveryReplaysDeltas(t *testing.T) {
 // — the compatibility path for logs written by older builds.
 func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := Open(wsdPath, walPath, putApplier)
+	cat, wal, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +252,7 @@ func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
 
-	cat2, wal2, err := Open(wsdPath, walPath, putApplier)
+	cat2, wal2, err := open1(dir, putApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +268,8 @@ func TestRecoveryStmtFallbackWithoutDeltas(t *testing.T) {
 // demand.
 func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	walPath := filepath.Join(dir, "cat.wal")
-	cat, wal, err := OpenPaged(wsdPath, walPath, putApplier, 256)
+	wsdPath := filepath.Join(dir, "checkpoint.wsd")
+	cat, wal, err := open1Pool(dir, putApplier, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +278,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 			put(t, cat, fmt.Sprintf("T%02d", i), int64(i*1000+k))
 		}
 	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	put(t, cat, "T00", -1) // leave a WAL tail too
@@ -299,7 +293,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 	if npages := fi.Size() / 8192; npages <= pool*3 {
 		t.Fatalf("test catalog spans only %d pages — not meaningfully larger than the %d-page pool", npages, pool)
 	}
-	cat2, wal2, err := OpenPaged(wsdPath, walPath, putApplier, pool)
+	cat2, wal2, err := open1Pool(dir, putApplier, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +307,7 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 	}
 	// And it keeps working as a live catalog.
 	put(t, cat2, "T23", 777777)
-	if err := cat2.Checkpoint(wal2, wsdPath); err != nil {
+	if err := cat2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	got := reloadSnap(t, wsdPath, 8)
@@ -326,24 +320,33 @@ func TestColdStartPoolSmallerThanCatalog(t *testing.T) {
 // age, disk bytes, and WAL tail consistent with the catalog's actual
 // state.
 func TestDurabilityStats(t *testing.T) {
-	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "cat.wsd")
-	cat, wal, err := Open(wsdPath, filepath.Join(dir, "cat.wal"), putApplier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-
-	st := cat.DurabilityStats()
+	st := New(nil).DurabilityStats()
 	if len(st) != 1 {
-		t.Fatalf("unsharded catalog reports %d durability rows, want 1", len(st))
+		t.Fatalf("1-shard catalog reports %d durability rows, want 1", len(st))
 	}
 	if st[0].CheckpointAgeSeconds >= 0 {
 		t.Fatalf("never-checkpointed catalog reports age %f, want negative", st[0].CheckpointAgeSeconds)
 	}
+	if st[0].WALTailRecords != 0 || st[0].DiskBytes != 0 {
+		t.Fatalf("in-memory catalog reports WAL tail %d, disk bytes %d; want 0, 0", st[0].WALTailRecords, st[0].DiskBytes)
+	}
+
+	dir := t.TempDir()
+	cat, wal, err := open1(dir, putApplier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	// Open checkpoints a fresh directory at once (the seed base).
+	st = cat.DurabilityStats()
+	if st[0].CheckpointAgeSeconds < 0 || st[0].DiskBytes == 0 || st[0].BaseVersion != 1 {
+		t.Fatalf("freshly opened catalog: age %f, disk bytes %d, base v%d; want the seed checkpoint at v1",
+			st[0].CheckpointAgeSeconds, st[0].DiskBytes, st[0].BaseVersion)
+	}
 	if st[0].WALTailRecords != 0 {
 		t.Fatalf("fresh WAL tail %d, want 0", st[0].WALTailRecords)
 	}
+	seedBytes := st[0].DiskBytes
 
 	put(t, cat, "T", 1)
 	put(t, cat, "T", 2)
@@ -351,11 +354,11 @@ func TestDurabilityStats(t *testing.T) {
 	if st[0].WALTailRecords != 2 {
 		t.Fatalf("WAL tail %d after 2 commits, want 2", st[0].WALTailRecords)
 	}
-	if st[0].DiskBytes != 0 {
-		t.Fatalf("disk bytes %d before any checkpoint, want 0", st[0].DiskBytes)
+	if st[0].DiskBytes != seedBytes {
+		t.Fatalf("disk bytes %d before the next checkpoint, want the seed's %d", st[0].DiskBytes, seedBytes)
 	}
 
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st = cat.DurabilityStats()

@@ -42,21 +42,15 @@ type DurabilityStat struct {
 	Pool bufpool.Stats `json:"pool"`
 }
 
-// DurabilityStats reports the per-shard durability posture (one entry
-// for the whole catalog when unsharded). Safe to call concurrently with
-// commits and checkpoints.
+// DurabilityStats reports the per-shard durability posture. Safe to
+// call concurrently with commits and checkpoints.
 func (c *Catalog) DurabilityStats() []DurabilityStat {
 	n := c.Shards()
 	out := make([]DurabilityStat, n)
 	now := time.Now()
 	for i := 0; i < n; i++ {
 		st := DurabilityStat{Shard: i, CheckpointAgeSeconds: -1}
-		var w *WAL
-		if c.nshards <= 1 {
-			w, _ = c.logger.(*WAL)
-		} else {
-			w = c.shards[i].wal
-		}
+		w := c.shards[i].wal()
 		var last time.Time
 		if w != nil {
 			st.WALTailRecords = w.TailRecords()
@@ -86,32 +80,6 @@ func (c *Catalog) DurabilityStats() []DurabilityStat {
 	return out
 }
 
-// EnablePaging attaches one PageStore per shard to a catalog that was
-// constructed fresh (not through Open/OpenSharded, which wire the
-// stores themselves): checkpoints through Checkpoint/CheckpointAll at
-// wsdPath then write the incremental page format. Call before
-// concurrent use. Existing page files at the shard paths are adopted;
-// a v1 JSON file (or nothing) at a path leaves that store
-// uninitialized until its first checkpoint migrates it.
-func (c *Catalog) EnablePaging(wsdPath string, poolPages int) error {
-	n := c.Shards()
-	pagers := make([]*PageStore, n)
-	for i := 0; i < n; i++ {
-		ps, _, err := OpenPageStore(shardCkptPath(wsdPath, i), i, i == 0, poolPages)
-		if err != nil {
-			for _, p := range pagers {
-				if p != nil {
-					p.Close()
-				}
-			}
-			return err
-		}
-		pagers[i] = ps
-	}
-	c.pagers = pagers
-	return nil
-}
-
-// Pagers exposes the catalog's page stores (nil entries possible; empty
-// without paging). Read-only observability access for /metrics.
+// Pagers exposes the catalog's page stores, one per shard (empty on an
+// in-memory catalog). Read-only observability access for /metrics.
 func (c *Catalog) Pagers() []*PageStore { return c.pagers }

@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"worldsetdb/internal/relation"
+	"worldsetdb/internal/value"
 )
 
-// gatedBatchLogger is a BatchTxLogger whose AppendBatch blocks until
-// released, so tests can hold a flush leader mid-fsync while more
+// gatedBatchLogger is a shard log segment whose AppendBatch blocks
+// until released, so tests can hold a flush leader mid-fsync while more
 // committers enqueue — making batch formation deterministic.
 type gatedBatchLogger struct {
 	mu      sync.Mutex
@@ -26,10 +26,6 @@ type gatedBatchLogger struct {
 
 func newGatedBatchLogger() *gatedBatchLogger {
 	return &gatedBatchLogger{entered: make(chan struct{}, 64), release: make(chan struct{}, 64)}
-}
-
-func (g *gatedBatchLogger) AppendCommit(version uint64, stmts []string) error {
-	return g.AppendBatch([]WALRecord{{Version: version, Stmts: stmts}})
 }
 
 func (g *gatedBatchLogger) AppendBatch(recs []WALRecord) error {
@@ -57,16 +53,21 @@ func (g *gatedBatchLogger) setFail(err error) {
 	g.mu.Unlock()
 }
 
-// commitRelAsync starts one logged relation-adding commit and returns
-// its error channel.
-func commitRelAsync(c *Catalog, name string) chan error {
+// gatedCatalog returns a 1-shard catalog holding the empty relation T,
+// with g as shard 0's log segment.
+func gatedCatalog(g *gatedBatchLogger) *Catalog {
+	c := FromComplete([]string{"T"}, []*relation.Relation{relation.New(relation.NewSchema("X"))})
+	c.shards[0].log = g
+	return c
+}
+
+// commitInsAsync starts one logged routed insert of v into T — a
+// single-shard commit that joins shard 0's group-commit queue — and
+// returns its error channel.
+func commitInsAsync(c *Catalog, v int) chan error {
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Update(func(tx *Tx) error {
-			tx.Log(name)
-			tx.SetDB(tx.DB().WithRelation(name, relation.NewSchema("X"), nil))
-			return nil
-		})
+		done <- c.UpdateRouted([]string{"T"}, func(tx *Tx) error { return insInto(tx, "T", v) })
 	}()
 	return done
 }
@@ -89,16 +90,15 @@ func waitPending(t *testing.T, c *Catalog, n int) {
 // AppendBatch, one fsync, many records.
 func TestGroupCommitBatches(t *testing.T) {
 	g := newGatedBatchLogger()
-	c := New(nil)
-	c.SetLogger(g)
+	c := gatedCatalog(g)
 
-	first := commitRelAsync(c, "T0")
+	first := commitInsAsync(c, 0)
 	<-g.entered // leader is mid-"fsync" with batch [T0]
 
 	const waiters = 4
 	var rest []chan error
 	for i := 0; i < waiters; i++ {
-		rest = append(rest, commitRelAsync(c, fmt.Sprintf("W%d", i)))
+		rest = append(rest, commitInsAsync(c, 1+i))
 	}
 	waitPending(t, c, waiters)
 
@@ -145,15 +145,10 @@ func TestGroupCommitBatches(t *testing.T) {
 func TestGroupCommitFailureAborts(t *testing.T) {
 	g := newGatedBatchLogger()
 	boom := errors.New("disk on fire")
-	c := New(nil)
-	c.SetLogger(g)
+	c := gatedCatalog(g)
 	g.setFail(boom)
 	g.release <- struct{}{}
-	err := c.Update(func(tx *Tx) error {
-		tx.Log("T0")
-		tx.SetDB(tx.DB().WithRelation("T0", relation.NewSchema("X"), nil))
-		return nil
-	})
+	err := c.UpdateRouted([]string{"T"}, func(tx *Tx) error { return insInto(tx, "T", 0) })
 	<-g.entered
 	if !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want wrapped %v", err, boom)
@@ -164,13 +159,13 @@ func TestGroupCommitFailureAborts(t *testing.T) {
 	// The next commit re-bases on the durable version and succeeds.
 	g.setFail(nil)
 	g.release <- struct{}{}
-	if err := <-commitRelAsync(c, "T1"); err != nil {
+	if err := <-commitInsAsync(c, 1); err != nil {
 		t.Fatalf("commit after failure: %v", err)
 	}
 	<-g.entered
 	snap := c.Snapshot()
-	if snap.Version != 2 || snap.DB.IndexOf("T1") < 0 || snap.DB.IndexOf("T0") >= 0 {
-		t.Fatalf("post-failure catalog wrong: v%d, names %v", snap.Version, snap.DB.Names)
+	if got := snap.DB.Certain[0].Tuples(); snap.Version != 2 || len(got) != 1 || got[0][0] != value.Int(1) {
+		t.Fatalf("post-failure catalog wrong: v%d, T = %v", snap.Version, got)
 	}
 	batches := g.snapshotBatches()
 	if len(batches) != 1 || batches[0][0].Version != 2 {
@@ -183,12 +178,11 @@ func TestGroupCommitFailureAborts(t *testing.T) {
 // never fsyncs more than once per commit (run under -race in CI).
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, shardApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mkAll(t, cat, []string{"T"})
 	const writers = 8
 	const commitsPer = 20
 	var wg sync.WaitGroup
@@ -198,12 +192,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < commitsPer; i++ {
-				name := fmt.Sprintf("W%d_%d", g, i)
-				errs[g*commitsPer+i] = cat.Update(func(tx *Tx) error {
-					tx.Log(name)
-					tx.SetDB(tx.DB().WithRelation(name, relation.NewSchema("X"), nil))
-					return nil
-				})
+				v := g*commitsPer + i
+				errs[v] = cat.UpdateRouted([]string{"T"}, func(tx *Tx) error { return insInto(tx, "T", v) })
 			}
 		}(g)
 	}
@@ -214,17 +204,18 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		}
 	}
 	commits := uint64(writers * commitsPer)
-	if got := cat.Snapshot().Version; got != commits+1 {
-		t.Fatalf("final version %d, want %d", got, commits+1)
+	if got := cat.Snapshot().Version; got != commits+2 { // seed + create + inserts
+		t.Fatalf("final version %d, want %d", got, commits+2)
 	}
-	if s := wal.Syncs(); s > commits {
+	if s := wal.Syncs() - 1; s > commits { // the create's own fsync aside
+
 		t.Fatalf("%d fsyncs for %d commits: group commit never batched", s, commits)
 	} else {
 		t.Logf("%d commits, %d fsyncs (amortization %.1fx)", commits, s, float64(commits)/float64(s))
 	}
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, shardApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,33 +230,32 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // acknowledged (or is about to be).
 func TestGroupCommitCheckpointDrains(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, shardApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mkAll(t, cat, []string{"T"})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				addRel(t, cat, fmt.Sprintf("W%d_%d", g, i))
+				sIns(t, cat, "T", g*10+i)
 			}
 		}(g)
 	}
 	// Checkpoint racing the writers: every one must land either in the
 	// checkpoint or in the log tail.
 	for i := 0; i < 5; i++ {
-		if err := cat.Checkpoint(wal, wsdPath); err != nil {
+		if err := cat.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wg.Wait()
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, shardApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +270,7 @@ func TestGroupCommitCheckpointDrains(t *testing.T) {
 // byte-identically to the intact record prefix, for every cut point.
 func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := SegmentPath(dir, 0)
 	wal, _, err := OpenWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -326,11 +316,11 @@ func TestGroupBatchTornMidBatchTruncated(t *testing.T) {
 			intact++
 		}
 		caseDir := t.TempDir()
-		caseWal := filepath.Join(caseDir, "wal.log")
+		caseWal := SegmentPath(caseDir, 0)
 		if err := os.WriteFile(caseWal, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cat, w, err := Open(filepath.Join(caseDir, "checkpoint.wsd"), caseWal, addRelApplier)
+		cat, w, err := open1(caseDir, addRelApplier)
 		if err != nil {
 			t.Fatalf("cut at byte %d: %v", cut, err)
 		}

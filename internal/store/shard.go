@@ -14,12 +14,13 @@ import (
 )
 
 // Component-sharded catalog: the decomposition's independence structure
-// used as a physical partitioning key. Every relation has a home shard
-// (FNV-1a of its name mod N), and a component belongs to the shards of
-// the relations it touches. Each shard has its own writer lock, its own
-// WAL segment (wal-<shard>.log) with its own group-commit queue, and
-// its own portion of the merged snapshot, so commits touching disjoint
-// shards execute, fsync and publish fully in parallel.
+// used as a physical partitioning key. Every catalog has N >= 1 shards
+// and every commit takes the paths in this file. Every relation has a
+// home shard (FNV-1a of its name mod N), and a component belongs to the
+// shards of the relations it touches. Each shard has its own writer
+// lock, its own WAL segment (wal-<shard>.log) with its own group-commit
+// queue, and its own portion of the merged snapshot, so commits touching
+// disjoint shards execute, fsync and publish fully in parallel.
 //
 // # Routing
 //
@@ -54,25 +55,31 @@ import (
 // their locks, stages one record per participant segment (each carrying
 // the full participant list), fsyncs them in parallel, then appends a
 // commit marker to the coordinator segment (the lowest participant).
-// Recovery (OpenSharded) merges all segments by epoch and discards
-// cross-shard epochs whose marker is absent — a crash between staging
-// and the marker rolls the transaction back on every shard, never on
-// just some.
+// Recovery (Open) merges all segments by epoch and discards cross-shard
+// epochs whose marker is absent — a crash between staging and the
+// marker rolls the transaction back on every shard, never on just some.
+// A commit with a single participant — every all-shard commit of a
+// 1-shard catalog — is not two-phase: it writes one plain record with
+// no participant list and no marker, one fsync.
 type shardState struct {
 	mu  sync.Mutex // writer lock for commits touching this shard
-	wal *WAL       // per-shard log segment; nil = not durable
+	log segment    // per-shard log segment; nil = not durable
 
 	// head is the newest assigned (possibly unpublished) merged view
 	// with this shard's portion current — single-shard commits chain on
-	// it exactly like the unsharded catalog chains on its head. nil
-	// means the published snapshot is current for this shard.
+	// it while a group commit is in flight. nil means the published
+	// snapshot is current for this shard.
 	hmu     sync.Mutex
 	head    *Snapshot
 	headVer uint64 // epoch of the newest assigned commit on this shard
 	pubVer  uint64 // epoch of the newest published commit on this shard
+	// contig reports that every epoch in (pubVer, headVer] belongs to
+	// this shard's unpublished chain — no other shard took one in
+	// between — so an aborted chain can hand its epochs back.
+	contig bool
 
-	// Per-shard group-commit queue, the same leader/batch protocol as
-	// the unsharded catalog's.
+	// Per-shard group-commit queue: committers enqueue, one leader
+	// flushes the whole queue with one append and one fsync.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
 	queue    []*shardReq
@@ -85,6 +92,21 @@ type shardState struct {
 	// queueHist measures group-commit queue wait on this shard (enqueue
 	// to flush start). Zero-value usable, exported at isqld /metrics.
 	queueHist obs.Histogram
+}
+
+// segment is the log a shard appends commit batches to. *WAL is the
+// only production implementation; the interface exists so tests can
+// drive a shard's group-commit queue with a fake that holds a flush
+// leader mid-fsync.
+type segment interface {
+	AppendBatch(recs []WALRecord) error
+}
+
+// wal returns the shard's segment as a WAL (nil when the shard is not
+// durable, or logs to a test fake).
+func (sh *shardState) wal() *WAL {
+	w, _ := sh.log.(*WAL)
+	return w
 }
 
 // shardReq is one enqueued single-shard commit awaiting durability.
@@ -100,19 +122,11 @@ type shardReq struct {
 	trace   *obs.Span // committer's trace; the flush leader attaches spans
 }
 
-// NewSharded returns a catalog over db partitioned into nshards
-// component shards. nshards <= 1 is the plain unsharded catalog.
-func NewSharded(db *wsd.DecompDB, nshards int) *Catalog {
-	c := New(db)
-	c.shard(nshards)
-	return c
-}
-
 // Reshard converts a freshly constructed catalog (no concurrent users
 // yet — server/bench wiring, before serving starts) into an nshards-way
-// sharded one. nshards <= 1 leaves it unsharded. The shard count is a
-// runtime property, not a persisted one: Save/Load carry no shard
-// layout, so the same catalog file can be reopened at any count.
+// sharded one; nshards < 1 means 1. The shard count is a runtime
+// property, not a persisted one: Save/Load and checkpoints carry no
+// shard layout, so the same catalog can be reopened at any count.
 func (c *Catalog) Reshard(nshards int) { c.shard(nshards) }
 
 // shard converts a freshly constructed (or freshly recovered,
@@ -120,8 +134,8 @@ func (c *Catalog) Reshard(nshards int) { c.shard(nshards) }
 // component IDs, initializes the per-shard states and stamps the
 // current snapshot with per-shard versions.
 func (c *Catalog) shard(nshards int) {
-	if nshards <= 1 {
-		return
+	if nshards < 1 {
+		nshards = 1
 	}
 	c.nshards = nshards
 	c.shards = make([]*shardState, nshards)
@@ -133,21 +147,13 @@ func (c *Catalog) shard(nshards int) {
 	c.resetSharded(c.cur.Load())
 }
 
-// resetSharded republishes snap as the sharded catalog's current state
-// with every shard at snap.Version. Single-threaded use only
-// (construction and recovery).
+// resetSharded republishes snap as the catalog's current state with
+// every shard at snap.Version. Single-threaded use only (construction
+// and recovery).
 func (c *Catalog) resetSharded(snap *Snapshot) {
 	c.assignIDs(snap.DB)
-	vers := make([]uint64, c.nshards)
-	for i := range vers {
-		vers[i] = snap.Version
-	}
-	ns := &Snapshot{Version: snap.Version, DB: snap.DB, Views: snap.Views,
-		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()}
-	c.hmu.Lock()
-	c.head = ns
-	c.hmu.Unlock()
-	c.cur.Store(ns)
+	c.cur.Store(&Snapshot{Version: snap.Version, DB: snap.DB, Views: snap.Views,
+		shardVers: c.versAt(snap.Version), nshards: c.nshards, compID: c.compID.Load()})
 	c.epoch.Store(snap.Version)
 	for _, sh := range c.shards {
 		sh.hmu.Lock()
@@ -156,42 +162,25 @@ func (c *Catalog) resetSharded(snap *Snapshot) {
 	}
 }
 
-// Shards reports the catalog's shard count (1 when unsharded).
-func (c *Catalog) Shards() int {
-	if c.nshards <= 1 {
-		return 1
+// versAt returns per-shard read timestamps with every shard at epoch.
+func (c *Catalog) versAt(epoch uint64) []uint64 {
+	vers := make([]uint64, c.nshards)
+	for i := range vers {
+		vers[i] = epoch
 	}
-	return c.nshards
+	return vers
 }
 
+// Shards reports the catalog's shard count.
+func (c *Catalog) Shards() int { return c.nshards }
+
 // ShardOf returns the home shard of a relation name.
-func (c *Catalog) ShardOf(name string) int {
-	if c.nshards <= 1 {
-		return 0
-	}
-	return shardOfName(name, c.nshards)
-}
+func (c *Catalog) ShardOf(name string) int { return shardOfName(name, c.nshards) }
 
 func shardOfName(name string, nshards int) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return int(h.Sum32() % uint32(nshards))
-}
-
-// SetShardLoggers attaches one WAL segment per shard. Must be called
-// before concurrent use (cmd wiring attaches them once, after
-// recovery), with exactly Shards() entries.
-func (c *Catalog) SetShardLoggers(wals []*WAL) {
-	if len(wals) != c.Shards() {
-		panic(fmt.Sprintf("store: %d WAL segments for %d shards", len(wals), c.Shards()))
-	}
-	if c.nshards <= 1 {
-		c.SetLogger(wals[0])
-		return
-	}
-	for i, sh := range c.shards {
-		sh.wal = wals[i]
-	}
 }
 
 // refShards returns, sorted, the shards a statement referencing refs
@@ -326,11 +315,8 @@ func setToSorted(set map[int]bool) []int {
 // resolves to one shard take that shard's write path (group commit on
 // its WAL segment); statements spanning shards commit through the
 // two-phase publish; refs == nil (no routing information) serializes
-// against all shards. On an unsharded catalog it is exactly Update.
+// against all shards, exactly like Update.
 func (c *Catalog) UpdateRouted(refs []string, fn func(*Tx) error) error {
-	if c.nshards <= 1 {
-		return c.Update(fn)
-	}
 	if refs == nil {
 		return c.updateAll(fn)
 	}
@@ -378,14 +364,7 @@ func (c *Catalog) updateShard(si int, refs []string, fn func(*Tx) error) error {
 	if tx.db == nil {
 		return nil
 	}
-	refIdx := map[int]bool{}
-	for _, name := range refs {
-		if i := base.DB.IndexOf(name); i >= 0 {
-			refIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(base.DB, refIdx)
-	done, err := c.enqueueShard(si, base, tx.db, wset, tx.stmts, tx.trace)
+	done, err := c.enqueueShard(si, base, tx.db, routedWset(base.DB, refs), tx.stmts, tx.trace)
 	if err != nil {
 		return err
 	}
@@ -404,38 +383,45 @@ func (c *Catalog) updateShard(si int, refs []string, fn func(*Tx) error) error {
 // error means the commit is already published.
 func (c *Catalog) enqueueShard(si int, base *Snapshot, db *wsd.DecompDB, wset map[uint64]bool, stmts []string, trace *obs.Span) (chan error, error) {
 	sh := c.shards[si]
-	if sh.wal != nil && len(stmts) == 0 {
+	if sh.log != nil && len(stmts) == 0 {
 		return nil, fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
 	}
-	epoch := c.epoch.Add(1)
-	vers := append([]uint64{}, base.shardVers...)
-	vers[si] = epoch
-	head := &Snapshot{Version: epoch, DB: db, Views: base.Views,
-		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()}
-	req := &shardReq{epoch: epoch, db: db, wset: wset, stmts: stmts,
-		enq: time.Now(), trace: trace}
-	if sh.wal != nil && !c.noDeltas {
+	req := &shardReq{db: db, wset: wset, stmts: stmts, trace: trace}
+	if sh.log != nil && !c.noDeltas {
+		sp := trace.Child("wal.delta")
 		req.delta = diffShard(base.DB, db, c.nshards, []int{si}, wset)
+		sp.End()
 	}
-	trace.SetInt("shard", int64(si))
+	vers := append([]uint64{}, base.shardVers...)
 	sh.hmu.Lock()
+	req.epoch = c.epoch.Add(1)
+	sh.contig = (sh.head == nil || sh.contig) && req.epoch == sh.headVer+1
 	req.baseVer = sh.headVer
-	sh.head, sh.headVer = head, epoch
+	vers[si] = req.epoch
+	sh.head = &Snapshot{Version: req.epoch, DB: db, Views: base.Views,
+		shardVers: vers, nshards: c.nshards, compID: c.compID.Load()}
+	sh.headVer = req.epoch
 	sh.hmu.Unlock()
-	if sh.wal == nil {
+	if sh.log == nil {
 		c.publishShard(si, req)
 		return nil, nil
 	}
 	req.done = make(chan error, 1)
+	req.enq = time.Now()
 	sh.qmu.Lock()
 	sh.queue = append(sh.queue, req)
 	sh.qmu.Unlock()
 	return req.done, nil
 }
 
-// flushShard elects a group-commit leader for one shard — the same
-// leader/batch/handoff protocol as the unsharded catalog's flush, per
-// shard, so disjoint shards fsync concurrently.
+// flushShard elects a group-commit leader for one shard: the first
+// committer to arrive while no flush is running takes the whole queue
+// as one batch — its own record plus every committer that queued behind
+// it — and persists it with a single fsync; everyone else returns
+// immediately and waits on its own done channel. Commits that arrive
+// during the fsync form the next batch, whose leadership is handed to a
+// fresh goroutine, so a committer returns as soon as its own record is
+// durable and published. Disjoint shards flush concurrently.
 func (c *Catalog) flushShard(si int) {
 	sh := c.shards[si]
 	sh.qmu.Lock()
@@ -478,7 +464,7 @@ func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
 			recs[i] = WALRecord{Version: r.epoch, Stmts: r.stmts, Shard: si, Delta: r.delta}
 		}
 		flushStart := time.Now()
-		err := sh.wal.AppendBatch(recs)
+		err := sh.log.AppendBatch(recs)
 		flushDur := time.Since(flushStart)
 		if err != nil {
 			c.abortShard(si, batch, fmt.Errorf("store: logging shard %d commit batch e%d..e%d: %w",
@@ -504,11 +490,18 @@ func (c *Catalog) flushShardBatch(si int, batch []*shardReq) {
 }
 
 // abortShard fails queued commits on one shard after a log-write
-// failure and rolls the shard head back to its published state.
+// failure and rolls the shard head back to its published state. None of
+// the aborted records reached the log (a failed append is truncated
+// away), so when the chain holds every epoch since pubVer and no later
+// one was assigned, the epochs are handed back: the next commit reuses
+// them and a 1-shard log stays dense (see Open's gap rule).
 func (c *Catalog) abortShard(si int, failed []*shardReq, err error) {
 	sh := c.shards[si]
 	sh.hmu.Lock()
-	sh.head, sh.headVer = nil, sh.pubVer
+	if sh.contig {
+		c.epoch.CompareAndSwap(sh.headVer, sh.pubVer)
+	}
+	sh.head, sh.headVer, sh.contig = nil, sh.pubVer, false
 	sh.hmu.Unlock()
 	sh.qmu.Lock()
 	trailing := sh.queue
@@ -632,34 +625,12 @@ func (c *Catalog) updateMulti(ps []int, refs []string, fn func(*Tx) error) error
 	if tx.db == nil {
 		return nil
 	}
-	refIdx := map[int]bool{}
-	for _, name := range refs {
-		if i := base.DB.IndexOf(name); i >= 0 {
-			refIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(base.DB, refIdx)
-	epoch := c.epoch.Add(1)
-	var delta *CommitDelta
-	if c.shards[ps[0]].wal != nil && !c.noDeltas {
-		delta = diffShard(base.DB, tx.db, c.nshards, ps, wset)
-	}
-	if err := c.stageAndMark(ps, epoch, tx.stmts, delta, tx.trace); err != nil {
-		return err
-	}
-	c.pub.Lock()
-	cur := c.cur.Load()
-	db := c.applyShardDiff(cur.DB, tx.db, ps, wset)
-	c.storeMerged(cur, db, cur.Views, ps, epoch)
-	c.pub.Unlock()
-	c.finishShards(ps, epoch)
-	return nil
+	return c.commitMulti(ps, base.DB, tx.db, routedWset(base.DB, refs), tx.stmts, tx.trace)
 }
 
 // updateAll runs a commit serialized against every shard: DDL, CTAS,
 // view changes and legacy DML — anything that can create components,
-// reshape the schema or read the whole catalog. The staged state
-// replaces the merged snapshot wholesale; new components get IDs here.
+// reshape the schema or read the whole catalog.
 func (c *Catalog) updateAll(fn func(*Tx) error) error {
 	all := c.allShards()
 	c.lockShards(all)
@@ -675,30 +646,73 @@ func (c *Catalog) updateAll(fn func(*Tx) error) error {
 	if tx.db == nil && tx.views == nil {
 		return nil
 	}
-	db := tx.DB()
+	return c.commitAll(base, tx.DB(), tx.Views(), tx.stmts, tx.trace)
+}
+
+// commitAll publishes db and views wholesale as the next epoch: the
+// staged state replaces the merged snapshot and new components get IDs
+// here. Caller holds every shard lock with every queue drained; base is
+// the published snapshot the commit was staged on.
+func (c *Catalog) commitAll(base *Snapshot, db *wsd.DecompDB, views map[string]string, stmts []string, trace *obs.Span) error {
+	all := c.allShards()
 	// IDs are assigned before staging so the logged delta names the same
 	// component IDs recovery will re-derive.
 	c.assignIDs(db)
 	epoch := c.epoch.Add(1)
-	next := &Snapshot{Version: epoch, DB: db, Views: tx.Views(),
+	next := &Snapshot{Version: epoch, DB: db, Views: views,
 		nshards: c.nshards, compID: c.compID.Load()}
 	var delta *CommitDelta
-	if c.shards[all[0]].wal != nil && !c.noDeltas {
+	if c.shards[0].log != nil && !c.noDeltas {
+		sp := trace.Child("wal.delta")
 		delta = diffSnapshots(base, next)
+		sp.End()
 	}
-	if err := c.stageAndMark(all, epoch, tx.stmts, delta, tx.trace); err != nil {
+	if err := c.stageAndMark(all, epoch, stmts, delta, trace); err != nil {
 		return err
 	}
 	c.pub.Lock()
-	vers := make([]uint64, c.nshards)
-	for i := range vers {
-		vers[i] = epoch
-	}
-	next.shardVers = vers
+	next.shardVers = c.versAt(epoch)
 	c.cur.Store(next)
 	c.pub.Unlock()
 	c.finishShards(all, epoch)
 	return nil
+}
+
+// commitMulti publishes a routed commit over the participant shards ps
+// as the next epoch: certain relations homed at ps and the write-set
+// components wset come from next, everything else from the published
+// snapshot. Caller holds the participant locks with their queues
+// drained; base is the decomposition the commit was staged on.
+func (c *Catalog) commitMulti(ps []int, base, next *wsd.DecompDB, wset map[uint64]bool, stmts []string, trace *obs.Span) error {
+	epoch := c.epoch.Add(1)
+	var delta *CommitDelta
+	if c.shards[ps[0]].log != nil && !c.noDeltas {
+		sp := trace.Child("wal.delta")
+		delta = diffShard(base, next, c.nshards, ps, wset)
+		sp.End()
+	}
+	if err := c.stageAndMark(ps, epoch, stmts, delta, trace); err != nil {
+		return err
+	}
+	c.pub.Lock()
+	cur := c.cur.Load()
+	db := c.applyShardDiff(cur.DB, next, ps, wset)
+	c.storeMerged(cur, db, cur.Views, ps, epoch)
+	c.pub.Unlock()
+	c.finishShards(ps, epoch)
+	return nil
+}
+
+// routedWset returns the IDs of the components a routed commit over
+// refs may replace: those contributing tuples to a referenced relation.
+func routedWset(db *wsd.DecompDB, refs []string) map[uint64]bool {
+	refIdx := map[int]bool{}
+	for _, name := range refs {
+		if i := db.IndexOf(name); i >= 0 {
+			refIdx[i] = true
+		}
+	}
+	return compIDsTouching(db, refIdx)
 }
 
 // finishShards advances participant shards past a published cross-shard
@@ -719,13 +733,33 @@ func (c *Catalog) finishShards(ps []int, epoch uint64) {
 // commit marker to the coordinator segment — the lowest participant.
 // Recovery discards staged cross-shard epochs without their marker, so
 // a failure (or crash) anywhere before the marker aborts the commit on
-// every shard; after the marker it is durable on every shard.
+// every shard; after the marker it is durable on every shard. A single
+// participant needs no protocol: its one plain record is the commit.
 func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *CommitDelta, trace *obs.Span) error {
-	if c.shards[ps[0]].wal == nil {
+	if c.shards[ps[0]].log == nil {
 		return nil
 	}
+	// Failures that leave nothing of the epoch in any log hand it back
+	// when no later one was assigned (see abortShard).
 	if len(stmts) == 0 {
+		c.epoch.CompareAndSwap(epoch, epoch-1)
 		return fmt.Errorf("store: refusing to log a commit with no statement records (writer did not call Tx.Log)")
+	}
+	if len(ps) == 1 {
+		// The participant's lock is held and its queue drained: the record
+		// goes out as a batch of one, with no queue wait.
+		start := time.Now()
+		err := c.shards[ps[0]].log.AppendBatch([]WALRecord{
+			{Version: epoch, Stmts: stmts, Shard: ps[0], Delta: delta}})
+		if trace != nil {
+			trace.ChildSpan("wal.queue", start, 0)
+			trace.ChildSpan("wal.fsync", start, time.Since(start)).SetInt("batch", 1)
+		}
+		if err != nil {
+			c.epoch.CompareAndSwap(epoch, epoch-1)
+			return fmt.Errorf("store: logging commit e%d: %w", epoch, err)
+		}
+		return nil
 	}
 	stage := trace.Child("txn.2pc.stage").SetInt("participants", int64(len(ps)))
 	var wg sync.WaitGroup
@@ -734,7 +768,7 @@ func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *Co
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			errs[i] = c.shards[p].wal.AppendBatch([]WALRecord{
+			errs[i] = c.shards[p].log.AppendBatch([]WALRecord{
 				{Version: epoch, Stmts: stmts, Shard: p, Parts: ps, Delta: delta}})
 		}(i, p)
 	}
@@ -748,7 +782,7 @@ func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *Co
 		}
 	}
 	mark := trace.Child("txn.2pc.marker").SetInt("coordinator", int64(ps[0]))
-	if err := c.shards[ps[0]].wal.AppendBatch([]WALRecord{
+	if err := c.shards[ps[0]].log.AppendBatch([]WALRecord{
 		{Version: epoch, Shard: ps[0], Parts: ps, Marker: true}}); err != nil {
 		mark.End()
 		return fmt.Errorf("store: writing commit marker for e%d: %w", epoch, err)
@@ -757,48 +791,22 @@ func (c *Catalog) stageAndMark(ps []int, epoch uint64, stmts []string, delta *Co
 	return nil
 }
 
-// waitPublishedSharded blocks until the merged snapshot reaches version
-// v or every shard's group-commit queue goes idle (the commit that
-// would have produced v was aborted).
-func (c *Catalog) waitPublishedSharded(v uint64) {
-	for {
-		if c.cur.Load().Version >= v {
-			return
-		}
-		busy := false
-		for _, sh := range c.shards {
-			sh.qmu.Lock()
-			if sh.flushing || len(sh.queue) > 0 {
-				busy = true
-				if c.cur.Load().Version < v {
-					sh.qcond.Wait() // woken after every flushed batch
-				}
-			}
-			sh.qmu.Unlock()
-			if busy {
-				break
-			}
-		}
-		if !busy {
-			return
-		}
-	}
-}
-
-// CheckpointAll persists the merged snapshot as the new recovery base
-// and truncates every shard segment, with all shard locks held and all
+// Checkpoint persists the merged snapshot as the new recovery base and
+// truncates every shard segment, with all shard locks held and all
 // queues drained so no commit can land between the snapshot read and
-// the truncates. The unsharded catalog keeps using Checkpoint.
+// the truncates. Readers are unaffected; writers wait for the save. The
+// catalog must come from Open.
 //
-// With paging enabled the base is one page file per shard (the main
-// file plus <wsdPath>.s<i> side files), each written incrementally —
-// only shards whose homed state changed rewrite any pages. Side files
-// commit before the main file, so a crash mid-checkpoint leaves either
-// the old base (main file not yet renamed/advanced) or a mixed set of
-// per-shard epochs that recovery merges and heals from the WALs.
-func (c *Catalog) CheckpointAll(wsdPath string) error {
-	if c.nshards <= 1 {
-		return fmt.Errorf("store: CheckpointAll requires a sharded catalog (use Checkpoint)")
+// The base is one page file per shard (checkpoint.wsd plus .s<i> side
+// files), each written incrementally — only shards whose homed state
+// changed rewrite any pages, and a checkpoint with nothing new writes
+// zero bytes. Side files commit before the main file, so a crash
+// mid-checkpoint leaves either the old base (main file not yet
+// advanced) or a mixed set of per-shard epochs that recovery merges and
+// heals from the WALs.
+func (c *Catalog) Checkpoint() error {
+	if len(c.pagers) != c.nshards {
+		return fmt.Errorf("store: checkpoint needs a durable catalog (store.Open)")
 	}
 	all := c.allShards()
 	c.lockShards(all)
@@ -807,33 +815,34 @@ func (c *Catalog) CheckpointAll(wsdPath string) error {
 		c.shards[p].drain()
 	}
 	snap := c.cur.Load()
-	if len(c.pagers) == c.nshards && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
-		if err := c.checkpointPaged(snap, wsdPath); err != nil {
-			return err
-		}
-	} else {
-		if err := SaveFile(wsdPath, snap); err != nil {
-			return fmt.Errorf("store: writing checkpoint: %w", err)
-		}
+	noop, err := c.checkpointPaged(snap)
+	if err != nil {
+		return err
 	}
 	for _, sh := range c.shards {
-		if sh.wal == nil {
+		w := sh.wal()
+		if w == nil {
 			continue
 		}
-		if err := sh.wal.reset(); err != nil {
-			return err
+		// After a no-op the segments can only hold records the base
+		// already covers (recovery skips them): leave them be.
+		if !noop {
+			if err := w.reset(); err != nil {
+				return err
+			}
 		}
-		sh.wal.noteCheckpoint(snap.Version)
+		w.noteCheckpoint(snap.Version)
 	}
 	return nil
 }
 
-// checkpointPaged writes the sharded snapshot across the per-shard page
-// files: side shards first (in parallel — they are independent files),
-// the coordinating main file last. Every file records the full global
+// checkpointPaged writes the snapshot across the per-shard page files:
+// side shards first (in parallel — they are independent files), the
+// coordinating main file last. Every file records the full global
 // version, so recovery can tell exactly which files a torn checkpoint
 // advanced. Called with all shard locks held and queues drained.
-func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
+// Reports whether the checkpoint was a no-op.
+func (c *Catalog) checkpointPaged(snap *Snapshot) (bool, error) {
 	allNoop := true
 	for _, ps := range c.pagers {
 		if ps.Version() != snap.Version {
@@ -847,7 +856,7 @@ func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
 		for _, ps := range c.pagers {
 			ps.NoteNoop()
 		}
-		return nil
+		return true, nil
 	}
 	slices := ckptSlices(snap, c.nshards, c.compID.Load())
 	var wg sync.WaitGroup
@@ -862,181 +871,66 @@ func (c *Catalog) checkpointPaged(snap *Snapshot, wsdPath string) error {
 	wg.Wait()
 	for i := 1; i < c.nshards; i++ {
 		if errs[i] != nil {
-			return fmt.Errorf("store: writing shard %d page checkpoint: %w", i, errs[i])
+			return false, fmt.Errorf("store: writing shard %d page checkpoint: %w", i, errs[i])
 		}
 	}
 	if err := c.pagers[0].WriteCheckpoint(slices[0]); err != nil {
-		return fmt.Errorf("store: writing shard 0 page checkpoint: %w", err)
+		return false, fmt.Errorf("store: writing shard 0 page checkpoint: %w", err)
 	}
 	// A previous run at a higher shard count can leave side files beyond
 	// ours; they are stale the moment this full-set checkpoint commits.
+	// One that survives would be merged by the next recovery (which takes
+	// the oldest file version as its base and re-adds the stale file's
+	// objects), so a failed delete fails the checkpoint and the WAL keeps
+	// the records that heal it.
 	for i := c.nshards; ; i++ {
-		p := shardCkptPath(wsdPath, i)
+		p := shardCkptPath(c.pagers[0].Path(), i)
 		if _, err := os.Stat(p); err != nil {
 			break
 		}
-		os.Remove(p)
+		if err := os.Remove(p); err != nil {
+			return false, fmt.Errorf("store: removing stale shard checkpoint: %w", err)
+		}
 	}
-	return nil
+	return false, nil
 }
 
 // CompShards maps each component of the snapshot's decomposition to its
 // home shard — the shard of the lowest-indexed relation it contributes
-// tuples to (shard 0 for a component contributing nowhere). nil when
-// the snapshot is not from a sharded catalog; query execution uses the
-// map to align its parallel scan chunks with shard boundaries
-// (wsdexec.Options.Shards).
+// tuples to (shard 0 for a component contributing nowhere). nil at one
+// shard, where every component is home on shard 0, and on staging
+// snapshots; query execution uses the map to align its parallel scan
+// chunks with shard boundaries (wsdexec.Options.Shards).
 func (s *Snapshot) CompShards() []int {
 	if s.nshards <= 1 {
 		return nil
 	}
 	out := make([]int, len(s.DB.Components))
-	for ci, c := range s.DB.Components {
-		home := 0
-		first := -1
-		for _, a := range c.Alternatives {
-			for ri, r := range a.Rels {
-				if r == nil || r.Len() == 0 {
-					continue
-				}
-				if first < 0 || ri < first {
-					first = ri
-				}
-			}
-		}
-		if first >= 0 {
-			home = shardOfName(s.DB.Names[first], s.nshards)
-		}
-		out[ci] = home
+	for ci, comp := range s.DB.Components {
+		out[ci] = compHome(s.DB, comp, s.nshards)
 	}
 	return out
 }
 
-// commitSharded publishes a staged transaction on a sharded catalog
-// with shard-level first-committer-wins: the shards the transaction's
-// reads and writes route to are locked and validated against the
-// transaction's per-shard read timestamps (base.shardVers); commits
-// that touched disjoint shards since Begin do not conflict. Validation
-// happens under the locks at the serialization point, covering reads as
-// well as writes, so a successful commit is equivalent to running the
-// whole transaction at its commit epoch.
-func (s *Staged) commitSharded() error {
-	c := s.cat
-	all := s.all || len(s.writes) == 0 // no routing info (direct Staged.Update): conservative
-	var ps []int
-	if all {
-		ps = c.allShards()
-		c.lockShards(ps)
-	} else {
-		refs := make([]string, 0, len(s.reads)+len(s.writes))
-		for r := range s.reads {
-			refs = append(refs, r)
-		}
-		for r := range s.writes {
-			if !s.reads[r] {
-				refs = append(refs, r)
+// compHome returns a component's home shard: the shard of the
+// lowest-indexed relation it contributes tuples to (shard 0 for a
+// component contributing nowhere).
+func compHome(db *wsd.DecompDB, comp wsd.DBComponent, nshards int) int {
+	first := -1
+	for _, a := range comp.Alternatives {
+		for ri, r := range a.Rels {
+			if r == nil || r.Len() == 0 {
+				continue
+			}
+			if first < 0 || ri < first {
+				first = ri
 			}
 		}
-		ps = c.lockRoute(refs)
 	}
-	// Validate: every touched shard must still be at the epoch the
-	// transaction read it at. headVer (not pubVer) — a conflicting
-	// commit awaiting its group-commit fsync already wins.
-	curV := c.cur.Load().Version
-	for _, p := range ps {
-		sh := c.shards[p]
-		sh.hmu.Lock()
-		hv := sh.headVer
-		if hv != s.base.shardVers[p] {
-			sh.conflicts++
-			sh.hmu.Unlock()
-			c.unlockShards(ps)
-			// Wait out the winner's group-commit flush before reporting
-			// the conflict. The retry re-begins from the published
-			// snapshot; returning while the winning epoch is still queued
-			// would make the retried transaction conflict against the
-			// same head again — a validation spin instead of one wait for
-			// the in-flight fsync. (The unsharded path gets this from
-			// WaitPublished on the global version, which cannot see
-			// per-shard heads.)
-			sh.drain()
-			if hv > curV {
-				curV = hv
-			}
-			return &ConflictError{Base: s.base.Version, Current: curV}
-		}
-		sh.hmu.Unlock()
+	if first < 0 {
+		return 0
 	}
-	if all {
-		defer c.unlockShards(ps)
-		for _, p := range ps {
-			c.shards[p].drain()
-		}
-		db := s.cur.DB
-		c.assignIDs(db)
-		epoch := c.epoch.Add(1)
-		next := &Snapshot{Version: epoch, DB: db, Views: s.cur.Views,
-			nshards: c.nshards, compID: c.compID.Load()}
-		var delta *CommitDelta
-		if c.shards[ps[0]].wal != nil && !c.noDeltas {
-			delta = diffSnapshots(c.cur.Load(), next)
-		}
-		if err := c.stageAndMark(ps, epoch, s.stmts, delta, nil); err != nil {
-			return err
-		}
-		c.pub.Lock()
-		vers := make([]uint64, c.nshards)
-		for i := range vers {
-			vers[i] = epoch
-		}
-		next.shardVers = vers
-		c.cur.Store(next)
-		c.pub.Unlock()
-		c.finishShards(ps, epoch)
-		return nil
-	}
-	wrefs := make([]string, 0, len(s.writes))
-	wIdx := map[int]bool{}
-	for r := range s.writes {
-		wrefs = append(wrefs, r)
-		if i := s.base.DB.IndexOf(r); i >= 0 {
-			wIdx[i] = true
-		}
-	}
-	wset := compIDsTouching(s.base.DB, wIdx)
-	wps := c.refShards(s.base.DB, wrefs)
-	if len(wps) == 1 {
-		si := wps[0]
-		done, err := c.enqueueShard(si, c.shardHead(c.shards[si]), s.cur.DB, wset, s.stmts, nil)
-		c.unlockShards(ps)
-		if err != nil {
-			return err
-		}
-		if done == nil {
-			return nil
-		}
-		c.flushShard(si)
-		return <-done
-	}
-	defer c.unlockShards(ps)
-	for _, p := range wps {
-		c.shards[p].drain()
-	}
-	epoch := c.epoch.Add(1)
-	var delta *CommitDelta
-	if c.shards[wps[0]].wal != nil && !c.noDeltas {
-		delta = diffShard(s.base.DB, s.cur.DB, c.nshards, wps, wset)
-	}
-	if err := c.stageAndMark(wps, epoch, s.stmts, delta, nil); err != nil {
-		return err
-	}
-	c.pub.Lock()
-	cur := c.cur.Load()
-	db := c.applyShardDiff(cur.DB, s.cur.DB, wps, wset)
-	c.storeMerged(cur, db, cur.Views, wps, epoch)
-	c.pub.Unlock()
-	c.finishShards(wps, epoch)
-	return nil
+	return shardOfName(db.Names[first], nshards)
 }
 
 // ShardStat is one shard's commit statistics.
@@ -1057,35 +951,19 @@ type ShardObs struct {
 	Fsync *obs.Histogram
 }
 
-// ObsShards returns the live latency histograms per shard (one entry
-// for the whole catalog when unsharded). The histograms are the
-// catalog's own — concurrent commits keep updating them — so callers
-// snapshot before exporting.
+// ObsShards returns the live latency histograms per shard. The
+// histograms are the catalog's own — concurrent commits keep updating
+// them — so callers snapshot before exporting.
 func (c *Catalog) ObsShards() []ShardObs {
-	if c.nshards <= 1 {
-		o := ShardObs{Shard: 0, Queue: &c.queueHist}
-		if w, ok := c.logger.(*WAL); ok {
-			o.Fsync = w.FsyncHist()
-		}
-		return []ShardObs{o}
-	}
 	out := make([]ShardObs, c.nshards)
 	for i, sh := range c.shards {
-		out[i] = ShardObs{Shard: i, Queue: &sh.queueHist, Fsync: sh.wal.FsyncHist()}
+		out[i] = ShardObs{Shard: i, Queue: &sh.queueHist, Fsync: sh.wal().FsyncHist()}
 	}
 	return out
 }
 
-// ShardStats reports per-shard commit statistics (one entry for the
-// whole catalog when unsharded).
+// ShardStats reports per-shard commit statistics.
 func (c *Catalog) ShardStats() []ShardStat {
-	if c.nshards <= 1 {
-		st := ShardStat{Shard: 0, Version: c.cur.Load().Version, Pending: c.PendingCommits()}
-		if w, ok := c.logger.(*WAL); ok && w != nil {
-			st.Syncs = w.Syncs()
-		}
-		return []ShardStat{st}
-	}
 	out := make([]ShardStat, c.nshards)
 	for i, sh := range c.shards {
 		sh.hmu.Lock()
@@ -1094,8 +972,8 @@ func (c *Catalog) ShardStats() []ShardStat {
 		sh.qmu.Lock()
 		out[i].Pending = len(sh.queue)
 		sh.qmu.Unlock()
-		if sh.wal != nil {
-			out[i].Syncs = sh.wal.Syncs()
+		if w := sh.wal(); w != nil {
+			out[i].Syncs = w.Syncs()
 		}
 	}
 	return out

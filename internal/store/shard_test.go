@@ -101,7 +101,7 @@ func newShardedFixture(t *testing.T, nshards int) (*Catalog, []string) {
 	for i := range rels {
 		rels[i] = relation.New(relation.NewSchema("X"))
 	}
-	c := NewSharded(wsd.FromComplete(names, rels), nshards)
+	c := shardedCat(wsd.FromComplete(names, rels), nshards)
 	return c, names
 }
 
@@ -268,7 +268,7 @@ func TestCrossShardComponentRoutes(t *testing.T) {
 		alt(map[int]int{0: 1, 1: 10}),
 		alt(map[int]int{0: 2, 1: 20}),
 	}})
-	c := NewSharded(db, 4)
+	c := shardedCat(db, 4)
 	ps := c.refShards(c.Snapshot().DB, []string{names[0]})
 	if len(ps) != 2 || ps[0] != 0 || ps[1] != 1 {
 		t.Fatalf("route of %s = %v, want [0 1] (component closure)", names[0], ps)
@@ -333,7 +333,7 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 		wsd.DBComponent{Alternatives: []wsd.DBAlternative{alt1(0, 1), alt1(0, 2)}},
 		wsd.DBComponent{Alternatives: []wsd.DBAlternative{alt1(1, 10), alt1(1, 20)}},
 	)
-	c := NewSharded(db, 4)
+	c := shardedCat(db, 4)
 	snap := c.Snapshot()
 	ref, err := wsd.MergeComponents(snap.DB, []int{0, 1})
 	if err != nil {
@@ -386,7 +386,7 @@ func TestMergeComponentsSnapshotRace(t *testing.T) {
 // shard's segment syncs independently.
 func TestShardedWALGroupCommitPerShard(t *testing.T) {
 	dir := t.TempDir()
-	cat, wals, err := OpenSharded("", dir, 4, shardApplier)
+	cat, wals, err := Open(dir, Options{Shards: 4, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestShardedWALGroupCommitPerShard(t *testing.T) {
 	for _, w := range wals {
 		w.Close()
 	}
-	cat2, wals2, err := OpenSharded("", dir, 4, shardApplier)
+	cat2, wals2, err := Open(dir, Options{Shards: 4, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func copyDir(t *testing.T, src, dst string) {
 func TestShardedCrashSweepEveryCutPoint(t *testing.T) {
 	const nshards = 4
 	dir := t.TempDir()
-	cat, wals, err := OpenSharded("", dir, nshards, shardApplier)
+	cat, wals, err := Open(dir, Options{Shards: nshards, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestShardedCrashSweepEveryCutPoint(t *testing.T) {
 			if err := os.WriteFile(SegmentPath(cdir, si), data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			rec, rwals, err := OpenSharded("", cdir, nshards, shardApplier)
+			rec, rwals, err := Open(cdir, Options{Shards: nshards, Applier: shardApplier})
 			if err != nil {
 				t.Fatalf("shard %d cut %d: recovery failed: %v", si, cut, err)
 			}
@@ -612,7 +612,7 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64) {
 			}
 		}
 	}
-	ref := NewSharded(nil, nshards)
+	ref := shardedCat(nil, nshards)
 	for _, v := range order {
 		if err := shardApplier(ref, WALRecord{Version: v, Stmts: epochs[v].stmts}); err != nil {
 			t.Fatalf("reference replay of e%d: %v", v, err)
@@ -625,13 +625,12 @@ func sweepReference(t *testing.T, dir string, nshards int) ([]byte, uint64) {
 	return dbBytes(t, ref.Snapshot()), last
 }
 
-// TestCheckpointAllTruncatesSegments: CheckpointAll persists the merged
+// TestCheckpointAllTruncatesSegments: Checkpoint persists the merged
 // snapshot and truncates every segment; recovery from the checkpoint
 // alone reproduces the state.
 func TestCheckpointAllTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := dir + "/checkpoint.wsd"
-	cat, wals, err := OpenSharded(wsdPath, dir, 2, shardApplier)
+	cat, wals, err := Open(dir, Options{Shards: 2, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +645,7 @@ func TestCheckpointAllTruncatesSegments(t *testing.T) {
 		}
 	}
 	want := dbBytes(t, cat.Snapshot())
-	if err := cat.CheckpointAll(wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for si := range wals {
@@ -657,7 +656,7 @@ func TestCheckpointAllTruncatesSegments(t *testing.T) {
 	for _, w := range wals {
 		w.Close()
 	}
-	cat2, wals2, err := OpenSharded(wsdPath, dir, 2, shardApplier)
+	cat2, wals2, err := Open(dir, Options{Shards: 2, Applier: shardApplier})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,11 @@ type Staged struct {
 	stmts []string  // statement records for the commit log
 	done  bool
 
-	// Shard-level conflict tracking (sharded catalogs): the relations
-	// the transaction read and wrote, and whether any statement had no
-	// routing information (DDL/CTAS/legacy — validates against every
-	// shard). Commit validates that the shards these route to are
-	// unchanged since base; commits on disjoint shards don't conflict.
+	// Shard-level conflict tracking: the relations the transaction read
+	// and wrote, and whether any statement had no routing information
+	// (DDL/CTAS/legacy — validates against every shard). Commit
+	// validates that the shards these route to are unchanged since base;
+	// commits on disjoint shards don't conflict.
 	reads  map[string]bool
 	writes map[string]bool
 	all    bool
@@ -116,7 +116,7 @@ func (s *Staged) Update(fn func(*Tx) error) error {
 	if tx.views != nil {
 		// Views are global, not homed on a shard: a transaction that
 		// changes them commits against every shard whatever else it
-		// routed (no-op on an unsharded catalog).
+		// routed.
 		s.all = true
 	}
 	s.stmts = append(s.stmts, tx.stmts...)
@@ -129,14 +129,18 @@ func (s *Staged) Update(fn func(*Tx) error) error {
 }
 
 // Commit atomically publishes the staging chain as one new catalog
-// version (base version + 1, however many statements were staged). A
-// read-only transaction commits trivially. When another writer
-// committed since Begin — even one whose version is still awaiting its
-// group-commit fsync — Commit fails with *ConflictError and publishes
-// nothing. With a commit logger attached, the transaction's statement
-// records are appended and fsynced before the version becomes visible;
-// a batch-capable logger coalesces that fsync with concurrent
-// committers (group commit).
+// version. A read-only transaction commits trivially. Validation is
+// shard-level first-committer-wins: the shards the transaction's reads
+// and writes route to are locked and validated against the
+// transaction's per-shard read timestamps (base.shardVers); commits
+// that touched disjoint shards since Begin do not conflict, while a
+// conflicting one — even one whose epoch still awaits its group-commit
+// fsync — fails Commit with *ConflictError and nothing is published.
+// Validation happens under the locks at the serialization point,
+// covering reads as well as writes, so a successful commit is
+// equivalent to running the whole transaction at its commit epoch. On a
+// durable catalog the record is fsynced before the version becomes
+// visible; a single-shard write set joins that shard's group commit.
 func (s *Staged) Commit() error {
 	if s.done {
 		return errTxnDone
@@ -146,20 +150,80 @@ func (s *Staged) Commit() error {
 		return nil // read-only: nothing staged, nothing to publish
 	}
 	c := s.cat
-	if c.nshards > 1 {
-		return s.commitSharded()
+	all := s.all || len(s.writes) == 0 // no routing info (direct Staged.Update): conservative
+	var ps []int
+	if all {
+		ps = c.allShards()
+		c.lockShards(ps)
+	} else {
+		refs := make([]string, 0, len(s.reads)+len(s.writes))
+		for r := range s.reads {
+			refs = append(refs, r)
+		}
+		for r := range s.writes {
+			if !s.reads[r] {
+				refs = append(refs, r)
+			}
+		}
+		ps = c.lockRoute(refs)
 	}
-	c.writer.Lock()
-	if latest := c.headSnap(); latest != s.base {
-		c.writer.Unlock()
-		return &ConflictError{Base: s.base.Version, Current: latest.Version}
+	// Validate: every touched shard must still be at the epoch the
+	// transaction read it at. headVer (not pubVer) — a conflicting
+	// commit awaiting its group-commit fsync already wins.
+	curV := c.cur.Load().Version
+	for _, p := range ps {
+		sh := c.shards[p]
+		sh.hmu.Lock()
+		hv := sh.headVer
+		if hv != s.base.shardVers[p] {
+			sh.conflicts++
+			sh.hmu.Unlock()
+			c.unlockShards(ps)
+			// Wait out the winner's group-commit flush before reporting
+			// the conflict. The retry re-begins from the published
+			// snapshot; returning while the winning epoch is still queued
+			// would make the retried transaction conflict against the
+			// same head again — a validation spin instead of one wait for
+			// the in-flight fsync.
+			sh.drain()
+			if hv > curV {
+				curV = hv
+			}
+			return &ConflictError{Base: s.base.Version, Current: curV}
+		}
+		sh.hmu.Unlock()
 	}
-	next := &Snapshot{
-		Version: s.base.Version + 1,
-		DB:      s.cur.DB,
-		Views:   s.cur.Views,
+	if all {
+		defer c.unlockShards(ps)
+		for _, p := range ps {
+			c.shards[p].drain()
+		}
+		return c.commitAll(c.cur.Load(), s.cur.DB, s.cur.Views, s.stmts, nil)
 	}
-	return c.commitLocked(s.base, next, s.stmts, nil)
+	wrefs := make([]string, 0, len(s.writes))
+	for r := range s.writes {
+		wrefs = append(wrefs, r)
+	}
+	wset := routedWset(s.base.DB, wrefs)
+	wps := c.refShards(s.base.DB, wrefs)
+	if len(wps) == 1 {
+		si := wps[0]
+		done, err := c.enqueueShard(si, c.shardHead(c.shards[si]), s.cur.DB, wset, s.stmts, nil)
+		c.unlockShards(ps)
+		if err != nil {
+			return err
+		}
+		if done == nil {
+			return nil
+		}
+		c.flushShard(si)
+		return <-done
+	}
+	defer c.unlockShards(ps)
+	for _, p := range wps {
+		c.shards[p].drain()
+	}
+	return c.commitMulti(wps, s.base.DB, s.cur.DB, wset, s.stmts, nil)
 }
 
 // Rollback discards the staging chain. The catalog never saw it.

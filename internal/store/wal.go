@@ -16,27 +16,26 @@ import (
 	"worldsetdb/internal/obs"
 )
 
-// Statement-level write-ahead log: durability for the catalog without
-// whole-snapshot saves. Every committed transaction appends one record
-// — the I-SQL statement texts that produced it plus the catalog version
-// it committed as — and fsyncs before the version becomes visible
-// (Catalog.Update / Staged.Commit call AppendCommit under the writer
-// lock). Recovery (Open) loads the last checkpoint — a plain .wsd
-// snapshot written atomically — and deterministically re-executes the
-// log tail: statement execution is pure, so replaying record v against
-// the catalog at version v-1 reproduces version v exactly, byte for
-// byte through Save.
+// Write-ahead log: durability for the catalog without whole-snapshot
+// saves. Every committed transaction appends one record — the I-SQL
+// statement texts that produced it, the commit epoch, and (by default)
+// a page delta of its effect — to the segment of each shard it touched,
+// and fsyncs before the version becomes visible. Recovery (Open) loads
+// the last checkpoint and replays the log tail: delta records apply
+// directly, the others are deterministically re-executed — statement
+// execution is pure, so replaying record e against the catalog at epoch
+// e-1 reproduces epoch e exactly, byte for byte through Save.
 //
 // # On-disk format
 //
-// One JSON object per line: {"v":<version>,"stmts":[...],"crc":<sum>},
+// One JSON object per line: {"v":<epoch>,"stmts":[...],"crc":<sum>},
 // where crc is the IEEE CRC-32 of the version and the length-prefixed
-// statement texts. A torn tail (crash mid-append) fails the CRC or the
-// JSON decode; OpenWAL truncates the file back to the last intact
-// record. Checkpointing writes the snapshot with SaveFile (temp file +
-// atomic rename) and then truncates the log; records are filtered by
-// version on replay, so a crash between those two steps only leaves
-// already-checkpointed records that replay skips.
+// statement texts (plus the shard fields and delta when present). A
+// torn tail (crash mid-append) fails the CRC or the JSON decode;
+// OpenWAL truncates the file back to the last intact record.
+// Checkpointing commits the new base and then truncates the log;
+// records are filtered by epoch on replay, so a crash between those two
+// steps only leaves already-checkpointed records that replay skips.
 
 // WALRecord is one committed transaction in the log.
 type WALRecord struct {
@@ -45,8 +44,7 @@ type WALRecord struct {
 	Version uint64
 	// Stmts are the statement texts that produced it, in execution order.
 	Stmts []string
-	// Shard is the shard whose segment holds the record (sharded
-	// catalogs only; 0 otherwise).
+	// Shard is the shard whose segment holds the record.
 	Shard int
 	// Parts, when the commit spans shards, lists every participant
 	// shard. A cross-shard record is staged once per participant
@@ -69,8 +67,8 @@ type WALRecord struct {
 }
 
 // walLine is the on-disk framing of a record. The shard fields are
-// omitted when empty, so unsharded logs keep the historical format
-// byte-for-byte.
+// omitted when empty, so single-participant records keep the historical
+// format byte-for-byte.
 type walLine struct {
 	Version uint64          `json:"v"`
 	Stmts   []string        `json:"stmts"`
@@ -81,14 +79,11 @@ type walLine struct {
 	CRC     uint32          `json:"crc"`
 }
 
-// crcOf sums the record content: version plus length-prefixed statement
-// texts (the prefix keeps ["ab","c"] distinct from ["a","bc"]), plus —
-// only when present, so historical records keep their sums — the
-// cross-shard participant list and the marker flag.
-func crcOf(version uint64, stmts []string) uint32 {
-	return crcOfRecord(WALRecord{Version: version, Stmts: stmts})
-}
-
+// crcOfRecord sums the record content: version plus length-prefixed
+// statement texts (the prefix keeps ["ab","c"] distinct from
+// ["a","bc"]), plus — only when present, so historical records keep
+// their sums — the cross-shard participant list, the marker flag and
+// the delta bytes.
 func crcOfRecord(rec WALRecord) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
@@ -120,12 +115,10 @@ func crcOfRecord(rec WALRecord) uint32 {
 	return h.Sum32()
 }
 
-// WAL is an open write-ahead log. It implements TxLogger and
-// BatchTxLogger; attached to a catalog with SetLogger it opts commits
-// into group commit — the catalog's flush leader persists every
-// waiting committer's record with one AppendBatch, one fsync. Safe for
-// concurrent use (appends serialize on the WAL mutex; Checkpoint may
-// race a commit from another goroutine).
+// WAL is one shard's open log segment. Open attaches one per shard;
+// the shard's group-commit leader persists every waiting committer's
+// record with one AppendBatch, one fsync. Safe for concurrent use
+// (appends serialize on the WAL mutex).
 type WAL struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -223,17 +216,8 @@ func scanWAL(f *os.File) ([]WALRecord, int64, error) {
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// AppendCommit writes one committed transaction and fsyncs. It is the
-// TxLogger hook: called before the new version is published. On a
-// write or fsync failure the log is truncated back to its pre-append
-// length — the commit is being aborted, and a half-durable record must
-// not shadow a later successful commit of the same version.
-func (w *WAL) AppendCommit(version uint64, stmts []string) error {
-	return w.AppendBatch([]WALRecord{{Version: version, Stmts: stmts}})
-}
-
 // AppendBatch writes a batch of committed transactions as one append
-// and one fsync — the BatchTxLogger hook behind group commit. The
+// and one fsync — the hook behind group commit. The
 // batch is all-or-nothing from the caller's perspective: on a write or
 // fsync failure the log is truncated back to its pre-append length and
 // every record in the batch is aborted together. (A crash between the
@@ -355,24 +339,6 @@ func (w *WAL) noteCheckpoint(v uint64) {
 	w.mu.Unlock()
 }
 
-// Checkpoint persists the snapshot as the new recovery base at wsdPath
-// (atomically, via SaveFile's temp-file + rename) and truncates the
-// log. Crash safety: replay filters records by version, so dying
-// between the save and the truncate merely leaves records the next
-// Open skips. The caller must ensure no commit is logged between the
-// snapshot read and this call — use Catalog.Checkpoint, which holds the
-// writer lock, when writers may be live.
-func (w *WAL) Checkpoint(snap *Snapshot, wsdPath string) error {
-	if err := SaveFile(wsdPath, snap); err != nil {
-		return fmt.Errorf("store: writing checkpoint: %w", err)
-	}
-	if err := w.reset(); err != nil {
-		return err
-	}
-	w.noteCheckpoint(snap.Version)
-	return nil
-}
-
 // reset truncates the log to empty after a checkpoint save.
 func (w *WAL) reset() error {
 	w.mu.Lock()
@@ -394,46 +360,6 @@ func (w *WAL) reset() error {
 	return nil
 }
 
-// Checkpoint writes the catalog's current snapshot as the new recovery
-// base and truncates the WAL, under the writer lock so no commit can be
-// appended (and then lost to the truncate) between the snapshot read
-// and the log reset. Group commits still in flight are drained first —
-// their records must land in the log (and their versions in cur) before
-// the snapshot is taken, or the truncate would orphan them. Readers are
-// unaffected; writers wait for the checkpoint save.
-//
-// On a catalog with paging enabled (OpenPaged / EnablePaging) the base
-// at wsdPath is a page file and the checkpoint is incremental: only
-// pages of components touched since the previous checkpoint are
-// rewritten, and a checkpoint at an already-persisted version writes
-// nothing at all.
-func (c *Catalog) Checkpoint(w *WAL, wsdPath string) error {
-	c.writer.Lock()
-	defer c.writer.Unlock()
-	c.waitFlushed()
-	snap := c.cur.Load()
-	if len(c.pagers) > 0 && c.pagers[0] != nil && c.pagers[0].Path() == wsdPath {
-		ps := c.pagers[0]
-		if ps.Version() == snap.Version {
-			// Nothing committed since the last checkpoint: the base on
-			// disk is already this exact state and the WAL holds only
-			// records the next recovery will skip. Zero writes.
-			ps.NoteNoop()
-			w.noteCheckpoint(snap.Version)
-			return nil
-		}
-		if err := ps.WriteCheckpoint(ckptSlices(snap, 1, c.compID.Load())[0]); err != nil {
-			return fmt.Errorf("store: writing page checkpoint: %w", err)
-		}
-		if err := w.reset(); err != nil {
-			return err
-		}
-		w.noteCheckpoint(snap.Version)
-		return nil
-	}
-	return w.Checkpoint(snap, wsdPath)
-}
-
 // Close closes the log file. Appends after Close fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
@@ -448,252 +374,185 @@ func (w *WAL) Close() error {
 
 // Applier re-executes one committed WAL record against the catalog
 // during recovery. It must apply the record's statements as a single
-// transaction committing exactly version rec.Version (isql.ReplayRecord
-// is the canonical implementation — the store itself cannot parse
-// I-SQL).
+// transaction (isql.ReplayRecord is the canonical implementation — the
+// store itself cannot parse I-SQL).
 type Applier func(cat *Catalog, rec WALRecord) error
 
-// Open recovers a WAL-backed catalog: load the last checkpoint from
-// wsdPath (the empty catalog when none exists), replay the log tail —
-// every intact record newer than the checkpoint, applied as a page
-// delta when the record carries one, re-executed through applier
-// otherwise — and return the catalog with the WAL attached as its
-// commit logger, ready for new transactions. The catalog after Open is
-// byte-identical (through Save) to the last committed state before the
-// crash: committed transactions survive, uncommitted ones vanish.
-//
-// The checkpoint base at wsdPath may be either the historical v1 JSON
-// document or a v2 page file; subsequent checkpoints through the
-// returned catalog write the page format (the v1→v2 migration happens
-// on the first checkpoint after an upgrade).
-func Open(wsdPath, walPath string, applier Applier) (*Catalog, *WAL, error) {
-	return OpenPaged(wsdPath, walPath, applier, DefaultPoolPages)
+// Options configures Open.
+type Options struct {
+	// Shards is the component shard count; values below 1 mean 1. It is
+	// a runtime choice, not a persisted one: a directory checkpointed
+	// cleanly at one count reopens at any other.
+	Shards int
+	// PoolPages is the buffer-pool capacity in pages per shard for the
+	// page-file base (0 = DefaultPoolPages). Catalogs larger than the
+	// pool still recover: the pool pages object chains in and out of
+	// memory on demand.
+	PoolPages int
+	// Applier re-executes WAL records that carry no page delta, or whose
+	// delta no longer applies (isql.ReplayRecord; isql.Open fills it in).
+	Applier Applier
+	// Seed builds the initial catalog when dir holds no state yet; nil
+	// means the empty catalog. It is not called when dir holds state:
+	// recovered state always wins.
+	Seed func() (*Catalog, error)
 }
 
-// OpenPaged is Open with an explicit buffer-pool capacity (in pages)
-// for the page-file base. Catalogs larger than the pool still recover:
-// the pool pages object chains in and out of memory on demand.
-func OpenPaged(wsdPath, walPath string, applier Applier, poolPages int) (*Catalog, *WAL, error) {
-	ps, loaded, err := OpenPageStore(wsdPath, 0, true, poolPages)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: loading checkpoint: %w", err)
-	}
-	var cat *Catalog
-	if loaded != nil {
-		snap, compID, err := mergeLoaded([]*loadedShard{loaded})
-		if err != nil {
-			ps.Close()
-			return nil, nil, fmt.Errorf("store: loading page checkpoint: %w", err)
-		}
-		cat = newCatalogSeeded(snap, compID)
-	} else {
-		switch _, err := os.Stat(wsdPath); {
-		case err == nil:
-			cat, err = LoadFile(wsdPath)
-			if err != nil {
-				ps.Close()
-				return nil, nil, fmt.Errorf("store: loading checkpoint: %w", err)
-			}
-		case os.IsNotExist(err):
-			cat = New(nil)
-		default:
-			ps.Close()
-			return nil, nil, err
-		}
-	}
-	cat.pagers = []*PageStore{ps}
-	wal, records, err := OpenWAL(walPath)
-	if err != nil {
-		ps.Close()
+// Open recovers the durable catalog in dir (creating dir and seeding it
+// when it holds no state) and returns it with one WAL segment per shard
+// attached, ready for new transactions. The layout is
+// dir/checkpoint.wsd — the last paged checkpoint, plus a
+// checkpoint.wsd.s<i> side file per shard i > 0 — and dir/wal-<i>.log,
+// shard i's log tail. A legacy single log dir/wal.log is adopted as
+// segment 0 on first open, and a legacy v1 JSON checkpoint is read as
+// the base; the next Checkpoint rewrites it in the page format.
+//
+// Recovery merges the checkpoint files — each object from the newest
+// file holding it, so a torn multi-file checkpoint still loads, with
+// side files of a higher former shard count included — and then the
+// segments' intact records by epoch (see replay). The catalog after
+// Open is byte-identical (through Save) to the last committed state
+// before the crash: committed transactions survive, uncommitted ones
+// vanish. A fresh directory is seeded from opt.Seed and checkpointed at
+// once, so the seed itself is durable before the first transaction.
+func Open(dir string, opt Options) (*Catalog, []*WAL, error) {
+	nshards := max(opt.Shards, 1)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	fail := func(err error) (*Catalog, *WAL, error) {
-		wal.Close()
-		ps.Close()
+	if err := adoptLegacyWAL(dir); err != nil {
 		return nil, nil, err
 	}
-	for _, rec := range records {
-		snap := cat.Snapshot()
-		if rec.Version <= snap.Version {
-			continue // already in the checkpoint
-		}
-		if rec.Version != snap.Version+1 {
-			return fail(fmt.Errorf("store: WAL gap: catalog at v%d, next record is v%d", snap.Version, rec.Version))
-		}
-		if rec.Delta != nil {
-			// Delta replay is the fast path; a delta that no longer applies
-			// (e.g. the epoch that created a relation it touches was itself
-			// discarded by crash filtering) falls back to deterministic
-			// statement re-execution below.
-			if err := cat.replayDelta(rec.Version, rec.Delta); err == nil {
-				continue
-			}
-		}
-		if err := applier(cat, rec); err != nil {
-			return fail(fmt.Errorf("store: replaying WAL record v%d: %w", rec.Version, err))
-		}
-		if got := cat.Snapshot().Version; got != rec.Version {
-			return fail(fmt.Errorf("store: replaying WAL record v%d left the catalog at v%d (non-deterministic replay?)", rec.Version, got))
-		}
-	}
-	cat.SetLogger(wal)
-	return cat, wal, nil
-}
-
-// replayDelta installs the effect of one delta-carrying WAL record:
-// the delta is applied to the current snapshot and the result published
-// as version v — no statement re-execution, no query-engine
-// involvement. Recovery-only; the catalog must have no live writers.
-func (c *Catalog) replayDelta(v uint64, d *CommitDelta) error {
-	cur := c.cur.Load()
-	db, views, err := applyDelta(cur.DB, cur.Views, d)
-	if err != nil {
-		return err
-	}
-	next := &Snapshot{Version: v, DB: db, Views: views}
-	c.assignIDs(next.DB)
-	next.compID = c.compID.Load()
-	c.hmu.Lock()
-	c.head = next
-	c.hmu.Unlock()
-	c.cur.Store(next)
-	return nil
-}
-
-// SegmentPath returns the path of shard si's WAL segment under walDir.
-func SegmentPath(walDir string, si int) string {
-	return filepath.Join(walDir, fmt.Sprintf("wal-%d.log", si))
-}
-
-// OpenSharded recovers a sharded WAL-backed catalog: load the last
-// checkpoint from wsdPath, scan every shard segment wal-<i>.log under
-// walDir (torn tails truncated per segment), merge the intact records
-// by epoch, discard cross-shard epochs whose commit marker is absent
-// (the two-phase publish never finished — the transaction rolls back on
-// every shard), replay the surviving epochs in ascending order through
-// applier, and return the catalog with one WAL segment per shard
-// attached. Epoch order is a valid serialization of the pre-crash
-// execution: single-shard commits read only their shard and epochs are
-// assigned under the shard locks, so replaying the merged sequence
-// serially reproduces the per-shard states byte-identically.
-//
-// nshards == 1 delegates to Open on wal-0.log (the strict
-// density-checked single-log recovery).
-//
-// With a page-file base, the checkpoint is one file per shard (wsdPath
-// plus wsdPath.s<i> side files); a torn multi-file checkpoint leaves
-// the files at mixed epochs, so recovery merges them — each object from
-// the newest file holding it — and replays every WAL epoch newer than
-// the oldest file, which delta replay makes idempotent.
-func OpenSharded(wsdPath, walDir string, nshards int, applier Applier) (*Catalog, []*WAL, error) {
-	return OpenShardedPaged(wsdPath, walDir, nshards, applier, DefaultPoolPages)
-}
-
-// OpenShardedPaged is OpenSharded with an explicit per-shard
-// buffer-pool capacity in pages.
-func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, poolPages int) (*Catalog, []*WAL, error) {
-	if nshards <= 1 {
-		cat, wal, err := OpenPaged(wsdPath, SegmentPath(walDir, 0), applier, poolPages)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cat, []*WAL{wal}, nil
-	}
-	cat, pagers, err := loadShardedBase(wsdPath, nshards, poolPages)
+	ckpt := filepath.Join(dir, "checkpoint.wsd")
+	cat, pagers, err := loadBase(ckpt, nshards, opt.PoolPages)
 	if err != nil {
 		return nil, nil, err
-	}
-	cat.shard(nshards)
-	cat.pagers = pagers
-	closePagers := func() {
-		for _, ps := range pagers {
-			if ps != nil {
-				ps.Close()
-			}
-		}
 	}
 	wals := make([]*WAL, nshards)
-	closeAll := func() {
+	fail := func(err error) (*Catalog, []*WAL, error) {
 		for _, w := range wals {
 			if w != nil {
 				w.Close()
 			}
 		}
-		closePagers()
+		for _, ps := range pagers {
+			ps.Close()
+		}
+		return nil, nil, err
 	}
+	var records []WALRecord
+	for si := range wals {
+		w, recs, err := OpenWAL(SegmentPath(dir, si))
+		if err != nil {
+			return fail(err)
+		}
+		wals[si] = w
+		records = append(records, recs...)
+	}
+	if err := checkExtraSegments(dir, nshards, cat.Snapshot().Version); err != nil {
+		return fail(err)
+	}
+	_, serr := os.Stat(ckpt)
+	fresh := os.IsNotExist(serr) && len(records) == 0
+	if fresh && opt.Seed != nil {
+		if cat, err = opt.Seed(); err != nil {
+			return fail(err)
+		}
+	}
+	cat.shard(nshards)
+	cat.pagers = pagers
+	if err := cat.replay(records, opt.Applier); err != nil {
+		return fail(err)
+	}
+	for si, sh := range cat.shards {
+		sh.log = wals[si]
+	}
+	if fresh {
+		if err := cat.Checkpoint(); err != nil {
+			return fail(fmt.Errorf("store: checkpointing seed: %w", err))
+		}
+	}
+	return cat, wals, nil
+}
+
+// replay applies the WAL tail to a freshly loaded catalog: records are
+// merged by epoch, cross-shard epochs whose commit marker is absent
+// are discarded (the two-phase publish never finished — the
+// transaction rolls back on every shard), and the surviving epochs
+// newer than the base replay in ascending order, as page deltas where
+// possible and through applier otherwise. Epoch order is a valid
+// serialization of the pre-crash execution: single-shard commits read
+// only their shard and epochs are assigned under the shard locks, so
+// replaying the merged sequence serially reproduces the per-shard
+// states byte-identically.
+func (c *Catalog) replay(records []WALRecord, applier Applier) error {
 	type epochRec struct {
 		stmts  []string
 		parts  []int
 		delta  *CommitDelta
-		staged map[int]bool // shards whose segment holds the stage record
 		marked bool
 	}
 	epochs := map[uint64]*epochRec{}
-	for si := 0; si < nshards; si++ {
-		wal, records, err := OpenWAL(SegmentPath(walDir, si))
-		if err != nil {
-			closeAll()
-			return nil, nil, err
+	for _, rec := range records {
+		er := epochs[rec.Version]
+		if er == nil {
+			er = &epochRec{}
+			epochs[rec.Version] = er
 		}
-		wals[si] = wal
-		for _, rec := range records {
-			er := epochs[rec.Version]
-			if er == nil {
-				er = &epochRec{staged: map[int]bool{}}
-				epochs[rec.Version] = er
-			}
-			if rec.Marker {
-				er.marked = true
-				continue
-			}
-			er.stmts = rec.Stmts
-			er.parts = rec.Parts
-			if rec.Delta != nil {
-				er.delta = rec.Delta
-			}
-			er.staged[si] = true
+		if rec.Marker {
+			er.marked = true
+			continue
+		}
+		er.stmts, er.parts = rec.Stmts, rec.Parts
+		if rec.Delta != nil {
+			er.delta = rec.Delta
 		}
 	}
-	base := cat.Snapshot().Version
+	base := c.cur.Load().Version
 	var order []uint64
 	for e, er := range epochs {
-		if e <= base {
-			continue // already in the checkpoint (crash between save and truncate)
+		switch {
+		case e <= base: // already in the checkpoint (crash between save and truncate)
+		case len(er.parts) > 1 && !er.marked: // unmarked cross-shard prefix: rolls back everywhere
+		case len(er.stmts) == 0: // marker without any surviving stage record
+		default:
+			order = append(order, e)
 		}
-		if len(er.parts) > 1 && !er.marked {
-			continue // unmarked cross-shard prefix: rolls back everywhere
-		}
-		if len(er.stmts) == 0 {
-			continue // marker without any surviving stage record
-		}
-		order = append(order, e)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	// Delta replay is only sound while the surviving epoch chain is
 	// dense: a delta captures whole objects as of its commit, so applying
 	// one after an earlier epoch was discarded (torn segment, rolled-back
-	// cross-shard commit) would resurrect that epoch's effects. The first
-	// gap switches the rest of the replay to statement re-execution —
-	// the reference semantics for arbitrary surviving subsets.
+	// cross-shard commit) would resurrect that epoch's effects. With
+	// several segments the first gap switches the rest of the replay to
+	// statement re-execution — the reference semantics for arbitrary
+	// surviving subsets. A single segment has no sibling to tear and no
+	// cross-shard commit to roll back, so a gap there means lost records
+	// and recovery fails instead.
 	dense := true
 	expected := base + 1
 	for _, e := range order {
-		er := epochs[e]
 		if e != expected {
+			if c.nshards == 1 {
+				return fmt.Errorf("store: WAL gap: catalog at v%d, next record is v%d", expected-1, e)
+			}
 			dense = false
 		}
 		expected = e + 1
+		er := epochs[e]
 		if dense && er.delta != nil {
-			cur := cat.Snapshot()
-			if db, views, aerr := applyDelta(cur.DB, cur.Views, er.delta); aerr == nil {
-				cat.resetSharded(&Snapshot{Version: e, DB: db, Views: views})
+			cur := c.cur.Load()
+			if db, views, err := applyDelta(cur.DB, cur.Views, er.delta); err == nil {
+				c.resetSharded(&Snapshot{Version: e, DB: db, Views: views})
 				continue
 			}
 			dense = false
 		}
-		if err := applier(cat, WALRecord{Version: e, Stmts: er.stmts}); err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("store: replaying WAL epoch e%d: %w", e, err)
+		if applier == nil {
+			return fmt.Errorf("store: WAL epoch e%d needs statement replay, but Options.Applier is nil", e)
+		}
+		if err := applier(c, WALRecord{Version: e, Stmts: er.stmts}); err != nil {
+			return fmt.Errorf("store: replaying WAL epoch e%d: %w", e, err)
 		}
 	}
 	// Re-stamp the catalog at the last durable epoch so the recovered
@@ -703,19 +562,74 @@ func OpenShardedPaged(wsdPath, walDir string, nshards int, applier Applier, pool
 	if len(order) > 0 {
 		last = order[len(order)-1]
 	}
-	cat.resetSharded(&Snapshot{Version: last, DB: cat.Snapshot().DB, Views: cat.Snapshot().Views})
-	cat.SetShardLoggers(wals)
-	return cat, wals, nil
+	cur := c.cur.Load()
+	c.resetSharded(&Snapshot{Version: last, DB: cur.DB, Views: cur.Views})
+	return nil
 }
 
-// loadShardedBase loads the checkpoint base for an nshards-way catalog
+// SegmentPath returns the path of shard si's WAL segment under dir.
+func SegmentPath(dir string, si int) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", si))
+}
+
+// adoptLegacyWAL turns the single log of the pre-segment layout,
+// dir/wal.log, into segment 0: its records are exactly a 1-shard
+// catalog's, so recovery at any shard count replays them. An empty
+// legacy log is simply removed.
+func adoptLegacyWAL(dir string) error {
+	legacy := filepath.Join(dir, "wal.log")
+	fi, err := os.Stat(legacy)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	seg := SegmentPath(dir, 0)
+	if fi.Size() == 0 {
+		err = os.Remove(legacy)
+	} else if si, serr := os.Stat(seg); serr == nil && si.Size() > 0 {
+		return fmt.Errorf("store: both %s and %s hold records; cannot tell which log is current", legacy, seg)
+	} else {
+		err = os.Rename(legacy, seg)
+	}
+	if err != nil {
+		return fmt.Errorf("store: adopting legacy WAL: %w", err)
+	}
+	return fsyncDir(dir)
+}
+
+// checkExtraSegments refuses to open when a segment beyond the shard
+// count — left by a run at a higher count — holds a record newer than
+// the checkpoint base: recovery at this count would silently drop it.
+// Records the checkpoint already covers are harmless.
+func checkExtraSegments(dir string, nshards int, base uint64) error {
+	for si := nshards; ; si++ {
+		path := SegmentPath(dir, si)
+		if _, err := os.Stat(path); err != nil {
+			return nil
+		}
+		w, recs, err := OpenWAL(path)
+		if err != nil {
+			return err
+		}
+		w.Close()
+		for _, r := range recs {
+			if r.Version > base {
+				return fmt.Errorf("store: %s holds commits newer than the checkpoint; reopen with at least %d shards to recover them", path, si+1)
+			}
+		}
+	}
+}
+
+// loadBase loads the checkpoint base for an nshards-way catalog
 // and returns it with one PageStore per shard (uninitialized stores for
 // files that do not exist yet — the first checkpoint creates them).
 // With a page-file main base, side files are probed past nshards too: a
 // catalog checkpointed at a higher shard count keeps its objects in
 // files the current count does not write, and the merge must still see
 // them.
-func loadShardedBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageStore, error) {
+func loadBase(wsdPath string, nshards, poolPages int) (*Catalog, []*PageStore, error) {
 	pagers := make([]*PageStore, nshards)
 	var extras []*PageStore
 	fail := func(err error) (*Catalog, []*PageStore, error) {

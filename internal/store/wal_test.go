@@ -12,6 +12,7 @@ import (
 
 	"worldsetdb/internal/relation"
 	"worldsetdb/internal/value"
+	"worldsetdb/internal/wsd"
 )
 
 // addRelApplier interprets WAL statement records of the form "T<name>"
@@ -40,6 +41,28 @@ func addRel(t *testing.T, cat *Catalog, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// open1 opens the 1-shard durable catalog in dir and returns its only
+// WAL segment.
+func open1(dir string, applier Applier) (*Catalog, *WAL, error) {
+	return open1Pool(dir, applier, 0)
+}
+
+// open1Pool is open1 with an explicit buffer-pool capacity.
+func open1Pool(dir string, applier Applier, poolPages int) (*Catalog, *WAL, error) {
+	cat, wals, err := Open(dir, Options{PoolPages: poolPages, Applier: applier})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cat, wals[0], nil
+}
+
+// shardedCat returns an in-memory catalog over db with nshards shards.
+func shardedCat(db *wsd.DecompDB, nshards int) *Catalog {
+	c := New(db)
+	c.Reshard(nshards)
+	return c
 }
 
 func saveBytes(t *testing.T, snap *Snapshot) []byte {
@@ -147,10 +170,8 @@ func TestStagedReadOnlyCommit(t *testing.T) {
 // an identical catalog, byte for byte through Save.
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
 
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +181,7 @@ func TestWALRoundTrip(t *testing.T) {
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close() // crash: no checkpoint was ever written
 
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +199,9 @@ func TestWALRoundTrip(t *testing.T) {
 // intact record and appending resumes cleanly.
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := SegmentPath(dir, 0)
 
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +220,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +232,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	addRel(t, cat2, "T2")
 	want2 := saveBytes(t, cat2.Snapshot())
 	wal2.Close()
-	cat3, wal3, err := Open(wsdPath, walPath, addRelApplier)
+	cat3, wal3, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +246,9 @@ func TestWALTornTailTruncated(t *testing.T) {
 // stops at the last good record rather than applying garbage.
 func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := SegmentPath(dir, 0)
 
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +269,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	if err := os.WriteFile(walPath, []byte(mangled), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +283,9 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 // truncates the log, and recovery uses checkpoint + tail.
 func TestWALCheckpointTruncates(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := SegmentPath(dir, 0)
 
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +294,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	if wal.Appended() != 2 {
 		t.Fatalf("appended = %d, want 2", wal.Appended())
 	}
-	if err := cat.Checkpoint(wal, wsdPath); err != nil {
+	if err := cat.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if wal.Appended() != 0 {
@@ -289,7 +307,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
 
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +323,8 @@ func TestWALCheckpointTruncates(t *testing.T) {
 func TestWALStaleRecordsSkipped(t *testing.T) {
 	dir := t.TempDir()
 	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
 
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +336,7 @@ func TestWALStaleRecordsSkipped(t *testing.T) {
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
 
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +350,7 @@ func TestWALStaleRecordsSkipped(t *testing.T) {
 // to the same catalog (run under -race in CI).
 func TestWALConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	wsdPath := filepath.Join(dir, "checkpoint.wsd")
-	walPath := filepath.Join(dir, "wal.log")
-	cat, wal, err := Open(wsdPath, walPath, addRelApplier)
+	cat, wal, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +377,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 	}
 	want := saveBytes(t, cat.Snapshot())
 	wal.Close()
-	cat2, wal2, err := Open(wsdPath, walPath, addRelApplier)
+	cat2, wal2, err := open1(dir, addRelApplier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +392,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 // and no temp files are left behind.
 func TestSaveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cat.wsd")
+	path := filepath.Join(dir, "checkpoint.wsd")
 	c1 := New(nil)
 	if err := SaveFile(path, c1.Snapshot()); err != nil {
 		t.Fatal(err)
